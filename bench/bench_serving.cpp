@@ -218,7 +218,6 @@ struct LatencyResult {
   // in "speedup", so bench_gate --ratios-only never gates on them.
   std::uint64_t quarantined = 0;
   std::uint64_t faults = 0;
-  std::uint64_t restarts = 0;
 };
 
 // Rank-based linear interpolation between order statistics (the
@@ -284,7 +283,6 @@ LatencyResult run_latency(har::HarModel& model, serving::ServingConfig cfg,
   const serving::ServiceHealth health = svc.health();
   r.quarantined = health.quarantined;
   r.faults = health.errors;
-  r.restarts = health.restarts;
   std::uint64_t accepted = 0;
   std::uint64_t dropped = 0;
   std::uint64_t deadline_dropped = 0;
@@ -409,15 +407,13 @@ int main(int argc, char** argv) {
                  "\"latency_samples\": %zu, \"p50_ms\": %.3f, "
                  "\"p99_ms\": %.3f, \"p999_ms\": %.3f, \"drop_rate\": %.4f, "
                  "\"deadline_drop_rate\": %.4f, \"deepest_queue\": %llu, "
-                 "\"quarantined\": %llu, \"faults\": %llu, "
-                 "\"restarts\": %llu}",
+                 "\"quarantined\": %llu, \"faults\": %llu}",
                  n_streams, latency_shards, lat.samples, lat.p50_ms,
                  lat.p99_ms, lat.p999_ms, lat.drop_rate,
                  lat.deadline_drop_rate,
                  static_cast<unsigned long long>(lat.deepest_queue),
                  static_cast<unsigned long long>(lat.quarantined),
-                 static_cast<unsigned long long>(lat.faults),
-                 static_cast<unsigned long long>(lat.restarts));
+                 static_cast<unsigned long long>(lat.faults));
     std::printf(
         "N=%zu latency (S=%zu, SLO %ld ms): p50 %.2f ms, p99 %.2f ms, "
         "p99.9 %.2f ms over %zu samples, drop %.2f%%, deadline-drop %.2f%%, "

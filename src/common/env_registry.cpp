@@ -32,7 +32,6 @@ constexpr EnvKnob kKnobs[] = {
     {"MMHAR_SERVING_SHARDS", "int", "1", "batcher shards in the serving layer (one worker thread each)"},
     {"MMHAR_SERVING_SLO_MS", "int", "0", "serving admission SLO in ms; frames/results past it are dropped (0 = off)"},
     {"MMHAR_SERVING_STREAMS", "list", "1,8,64", "bench_serving: comma-separated concurrent stream counts"},
-    {"MMHAR_SERVING_WATCHDOG_MS", "int", "0", "serving shard-watchdog cadence in ms; restarts crashed/stalled workers (0 = unsupervised)"},
     {"MMHAR_SHAP_SAMPLES", "int", "36", "samples in the Fig. 3 SHAP histogram"},
     {"MMHAR_THREADS", "int", "0 (auto)", "thread-pool size; 0 = hardware concurrency"},
     {"MMHAR_VERBOSE", "flag", "0", "per-epoch training log lines"},

@@ -1,6 +1,7 @@
 #include "common/fault_injection.h"
 
 #include <atomic>
+#include <cctype>
 #include <cstdlib>
 
 #include "common/check.h"
@@ -43,18 +44,29 @@ void FaultInjector::configure(const std::string& spec, std::uint64_t seed) {
 
     Rule rule;
     site = entry;
-    if (const auto at = entry.find('@'); at != std::string::npos) {
+    const auto at = entry.find('@');
+    const auto eq = entry.find('=');
+    MMHAR_REQUIRE(at == std::string::npos || eq == std::string::npos,
+                  "fault spec entry '" << entry
+                                       << "': use either @N or =P, not both");
+    // strtoull/strtod skip leading whitespace and accept a sign (strtoull
+    // wraps "-1" to 2^64-1), so the number must start with a digit.
+    auto digit_at = [&entry](std::size_t pos) {
+      return pos < entry.size() &&
+             std::isdigit(static_cast<unsigned char>(entry[pos])) != 0;
+    };
+    if (at != std::string::npos) {
       site = entry.substr(0, at);
       char* tail = nullptr;
       rule.nth = std::strtoull(entry.c_str() + at + 1, &tail, 10);
-      MMHAR_REQUIRE(tail && *tail == '\0' && rule.nth > 0,
+      MMHAR_REQUIRE(digit_at(at + 1) && tail && *tail == '\0' && rule.nth > 0,
                     "fault spec entry '" << entry << "': @N needs N >= 1");
-    } else if (const auto eq = entry.find('='); eq != std::string::npos) {
+    } else if (eq != std::string::npos) {
       site = entry.substr(0, eq);
       char* tail = nullptr;
       rule.probability = std::strtod(entry.c_str() + eq + 1, &tail);
-      MMHAR_REQUIRE(tail && *tail == '\0' && rule.probability >= 0.0 &&
-                        rule.probability <= 1.0,
+      MMHAR_REQUIRE(digit_at(eq + 1) && tail && *tail == '\0' &&
+                        rule.probability >= 0.0 && rule.probability <= 1.0,
                     "fault spec entry '" << entry
                                          << "': =P needs P in [0, 1]");
     }

@@ -12,7 +12,8 @@
 //   MMHAR_FAULT_SPEC   comma-separated site rules (below); empty = off
 //   MMHAR_FAULT_SEED   seed for probabilistic rules (default 1)
 //
-// Spec grammar, one entry per site:
+// Spec grammar, one entry per site (N and P are unsigned decimals; an
+// entry carries at most one of @ and =):
 //   site          fire on every call
 //   site@N        fire on exactly the Nth call of that site (1-based)
 //   site=P        fire with probability P per call (deterministic stream)
@@ -29,10 +30,12 @@
 //                          quarantine scan (one call per claimed frame)
 //   serving.infer_fail     one micro-batch inference row fails and is
 //                          contained per-row (one call per job row)
-//   serving.shard_stall    a shard worker wedges on its condvar until the
-//                          watchdog restarts it (one call per wake-up)
-//   serving.shard_crash    a shard worker dies on an escaped-exception
-//                          path, claim-free (one call per wake-up)
+//   serving.shard_stall    a shard worker blocks inside its cycle for a
+//                          bounded interval, ignoring stop; reported on
+//                          ShardStats::busy_ms (one call per worker cycle)
+//   serving.shard_crash    a shard worker's cycle throws, claim-free; the
+//                          worker counts it and continues in place (one
+//                          call per worker cycle)
 //
 // Tests normally bypass the env and call
 // `FaultInjector::instance().configure(spec, seed)` directly, then

@@ -23,7 +23,6 @@
 // wrappers compile to exactly the std:: types they hold.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <shared_mutex>
@@ -124,19 +123,6 @@ class CondVar {
     lk.release();
   }
 
-  /// Timed wait (same adopt/release discipline as wait()). Returns false
-  /// on timeout, true when notified — callers re-check their predicate
-  /// either way; the timeout is what lets periodic supervisors (the
-  /// serving watchdog, the shard idle-poll) bound how long a lost or
-  /// miscounted wake-up can stall them.
-  template <class Rep, class Period>
-  bool wait_for(Mutex& mu, const std::chrono::duration<Rep, Period>& rel)
-      MMHAR_REQUIRES(mu) {
-    std::unique_lock<std::mutex> lk(mu.mu_, std::adopt_lock);
-    const std::cv_status status = cv_.wait_for(lk, rel);
-    lk.release();
-    return status == std::cv_status::no_timeout;
-  }
   void notify_one() { cv_.notify_one(); }
   void notify_all() { cv_.notify_all(); }
 

@@ -4,11 +4,13 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <thread>
 
 #include "common/check.h"
 #include "common/env.h"
 #include "common/fault_injection.h"
 #include "common/finite_check.h"
+#include "common/logging.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "dsp/window.h"
@@ -20,19 +22,9 @@ using Clock = std::chrono::steady_clock;
 
 namespace {
 
-// Idle-side self-healing: a worker whose condvar wait times out runs a
-// probe cycle, so a lost wake-up or a pending count left stale by a
-// crashed predecessor costs at most this much latency, never starvation.
-constexpr std::chrono::milliseconds kIdlePoll{100};
-
-// Consecutive zero-consume cycles before a worker clamps a stale positive
-// pending count back to zero (a genuine mid-submit race clears in one or
-// two cycles; a crash that leaked claimed frames never clears on its own).
-constexpr int kZeroConsumeClamp = 64;
-
-// Heartbeat-frozen-with-work-pending observations before the watchdog
-// declares a shard stalled and restarts it.
-constexpr int kStallStrikes = 3;
+// Length of an injected serving.shard_stall (a spin, like a long compute
+// step): readable on busy_ms, shorter than the chaos quiesce window.
+constexpr std::chrono::milliseconds kInjectedStall{200};
 
 }  // namespace
 
@@ -101,14 +93,13 @@ struct StreamingHarService::Stream {
   std::uint64_t dropped_results MMHAR_GUARDED_BY(results_mu) = 0;
 };
 
-// Per-shard wake-up state: `pending` counts frames sitting in the shard's
-// stream queues (eventually consistent — producers increment after
-// enqueueing, the shard decrements by the number it consumed, so it may
-// transiently dip negative or lag reality by an in-flight submit).
+// Per-shard wake-up state. submit_frame bumps `epoch` once per admitted
+// frame, after the frame is in its ring; shard_main explains why "epoch
+// moved" is then an exact wake-up test.
 struct Sched {
   Mutex mu;
   CondVar cv;
-  std::int64_t pending MMHAR_GUARDED_BY(mu) = 0;
+  std::uint64_t epoch MMHAR_GUARDED_BY(mu) = 0;
   bool stop MMHAR_GUARDED_BY(mu) = false;
 };
 
@@ -165,16 +156,9 @@ struct StreamingHarService::Shard {
   std::atomic<std::uint64_t> stat_classifications{0};
   std::atomic<std::uint64_t> stat_deadline_dropped{0};
   std::atomic<std::uint64_t> stat_faults{0};
-
-  // Supervision state. heartbeat is bumped by the worker once per
-  // wake-up; the watchdog compares epochs across its cadence. crashed is
-  // set (release) by a worker that caught an escaped exception and
-  // parked itself; stalled is a watchdog-owned diagnostic flag.
-  // stat_restarts counts supervised restarts (watchdog-written).
-  std::atomic<std::uint64_t> heartbeat{0};
-  std::atomic<bool> crashed{false};
-  std::atomic<bool> stalled{false};
-  std::atomic<std::uint64_t> stat_restarts{0};
+  // Steady-clock ticks at which the worker's current cycle began, 0 while
+  // it waits; shard_stats turns it into ShardStats::busy_ms.
+  std::atomic<Clock::rep> busy_since{0};
 
   std::vector<Stream*> cycle_streams;    ///< first n_cycle_streams valid
   std::vector<std::size_t> cycle_ids;    ///< matching global stream ids
@@ -196,14 +180,6 @@ struct StreamingHarService::Shard {
   std::size_t rr = 0;                    ///< round-robin fairness offset
 };
 
-// Watchdog wake-up state: a plain stop/notify pair; the cadence comes
-// from CondVar::wait_for so stop() never waits out a full period.
-struct StreamingHarService::WatchdogState {
-  Mutex mu;
-  CondVar cv;
-  bool stop MMHAR_GUARDED_BY(mu) = false;
-};
-
 // ---- Configuration ---------------------------------------------------------
 
 ServingConfig ServingConfig::from_env() {
@@ -219,7 +195,6 @@ ServingConfig ServingConfig::from_env() {
   cfg.max_stream_faults = static_cast<std::size_t>(
       env_int("MMHAR_SERVING_MAX_STREAM_FAULTS",
               static_cast<long>(cfg.max_stream_faults)));
-  cfg.watchdog_ms = env_int("MMHAR_SERVING_WATCHDOG_MS", cfg.watchdog_ms);
   const std::string policy = env_string("MMHAR_SERVING_DROP_POLICY", "oldest");
   MMHAR_REQUIRE(policy == "oldest" || policy == "newest",
                 "MMHAR_SERVING_DROP_POLICY must be 'oldest' or 'newest', got "
@@ -243,9 +218,6 @@ StreamingHarService::StreamingHarService(const ServingConfig& config,
                 "ServingConfig: num_shards must be positive");
   MMHAR_REQUIRE(config.slo_ms >= 0,
                 "ServingConfig: slo_ms must be non-negative (0 = disabled)");
-  MMHAR_REQUIRE(config.watchdog_ms >= 0,
-                "ServingConfig: watchdog_ms must be non-negative "
-                "(0 = unsupervised)");
   MMHAR_REQUIRE(hm.range_bins == mc.height && hm.angle_bins == mc.width,
                 "ServingConfig: heatmap dims must match the model ("
                     << mc.height << "x" << mc.width << ")");
@@ -302,7 +274,6 @@ StreamingHarService::StreamingHarService(const ServingConfig& config,
     sh->scratch.reserve(models_.plan(0), config.batch_max);
     shards_.push_back(std::move(sh));
   }
-  watchdog_ = std::make_unique<WatchdogState>();
 }
 
 StreamingHarService::~StreamingHarService() { stop(); }
@@ -354,7 +325,6 @@ bool StreamingHarService::submit_frame(std::size_t stream,
   const Clock::time_point now = Clock::now();
 
   std::size_t slot = 0;
-  bool evicted = false;
   {
     MutexLock lk(s->mu);
     ++s->submitted;
@@ -367,7 +337,6 @@ bool StreamingHarService::submit_frame(std::size_t stream,
       s->qhead = (s->qhead + 1) % config_.queue_depth;
       --s->qcount;
       ++s->dropped;
-      evicted = true;
     } else {
       ++s->rejected;
       return false;
@@ -388,15 +357,13 @@ bool StreamingHarService::submit_frame(std::size_t stream,
     if (s->qcount > s->deepest_queue) s->deepest_queue = s->qcount;
   }
 
-  // Eviction removed one queued frame and this submit added one, so the
-  // pending count only moves on a non-evicting admit. Only the stream's
-  // affinity shard is woken — the others have no claim on this frame.
-  if (!evicted) {
-    Sched& sched = shards_[s->shard]->sched;
-    MutexLock lk(sched.mu);
-    ++sched.pending;
-    sched.cv.notify_one();
-  }
+  // Every admit, evicting or not, moves the epoch: the worker must see a
+  // new frame even when the ring's length did not change. Only the
+  // stream's affinity shard is woken — the others have no claim on it.
+  Sched& sched = shards_[s->shard]->sched;
+  MutexLock lk(sched.mu);
+  ++sched.epoch;
+  sched.cv.notify_one();
   return true;
 }
 
@@ -447,23 +414,21 @@ ShardStats StreamingHarService::shard_stats(std::size_t shard) const {
   st.classifications = sh.stat_classifications.load(std::memory_order_relaxed);
   st.deadline_dropped =
       sh.stat_deadline_dropped.load(std::memory_order_relaxed);
+  st.faults = sh.stat_faults.load(std::memory_order_relaxed);
+  const Clock::duration since(sh.busy_since.load(std::memory_order_relaxed));
+  if (since.count() != 0)
+    st.busy_ms = static_cast<std::uint64_t>(std::max<std::int64_t>(
+        0, std::chrono::duration_cast<std::chrono::milliseconds>(
+               Clock::now().time_since_epoch() - since)
+               .count()));
   return st;
 }
 
 ServiceHealth StreamingHarService::health() const {
   ServiceHealth h;
-  h.watchdog_running = watchdog_running_.load(std::memory_order_relaxed);
   h.shards.reserve(shards_.size());
-  for (const std::unique_ptr<Shard>& sh : shards_) {
-    ShardHealth sd;
-    sd.crashed = sh->crashed.load(std::memory_order_acquire);
-    sd.stalled = sh->stalled.load(std::memory_order_relaxed);
-    sd.heartbeat = sh->heartbeat.load(std::memory_order_relaxed);
-    sd.restarts = sh->stat_restarts.load(std::memory_order_relaxed);
-    sd.faults = sh->stat_faults.load(std::memory_order_relaxed);
-    h.restarts += sd.restarts;
-    h.shards.push_back(sd);
-  }
+  for (std::size_t i = 0; i < shards_.size(); ++i)
+    h.shards.push_back(shard_stats(i));
   MutexLock lk(registry_->mu);
   for (const std::unique_ptr<Stream>& s : registry_->streams) {
     MutexLock slk(s->mu);
@@ -1015,10 +980,6 @@ std::size_t StreamingHarService::run_shard_cycle(std::size_t shard) {
 
   const std::size_t consumed = claimed + expired + shed;
   if (consumed > 0) {
-    {
-      MutexLock lk(sh.sched.mu);
-      sh.sched.pending -= static_cast<std::int64_t>(consumed);
-    }
     sh.stat_cycles.fetch_add(1, std::memory_order_relaxed);
     sh.stat_frames.fetch_add(claimed, std::memory_order_relaxed);
     sh.stat_classifications.fetch_add(published, std::memory_order_relaxed);
@@ -1035,148 +996,55 @@ std::size_t StreamingHarService::run_cycle() {
   return total;
 }
 
-// Worker loop. Fault-containment duties on top of the claim/cycle work:
-//  * No exception may escape (it would std::terminate the process): an
-//    escaped mmhar::Error — or anything else — marks the shard crashed
-//    and returns; the watchdog restarts it while other shards keep
-//    serving. serving.shard_crash injects exactly that, claim-free by
-//    construction (it fires before any frame is claimed, so no slot is
-//    ever leaked by an injected crash).
-//  * serving.shard_stall parks the worker on its condvar — a model of a
-//    wedged thread at a cancellation point — until a restart or stop()
-//    releases it.
-//  * The condvar wait is timed (kIdlePoll) and a long streak of
-//    zero-consume cycles clamps a positive pending count back to zero:
-//    together they self-heal both directions of a pending count left
-//    stale by a genuine crash mid-cycle (a lost wake costs at most one
-//    poll period; a phantom pending stops burning CPU after the clamp).
+// Worker loop: sleep until the shard's epoch moves, then run cycles while
+// each consumes batch_max. A cycle that consumes less ended on a claim
+// round that found every stream empty, so each frame admitted before the
+// epoch read is consumed and any later admit moves the epoch again: no
+// lost wake-up, no timed wait.
+//
+// An escaping exception is caught, counted in the shard's faults and
+// logged; the cycle state is reset and the loop reruns at once on the
+// same thread (frames may still be queued). serving.shard_crash injects
+// that path claim-free, before the cycle claims. A non-mmhar::Error thrown
+// mid-cycle strands that cycle's claimed slots; nothing here returns them.
+//
+// busy_since brackets each cycle for ShardStats::busy_ms. An injected
+// serving.shard_stall blocks inside it for kInjectedStall, ignoring stop:
+// a non-cooperative step that busy_ms reports and stop() waits out.
 void StreamingHarService::shard_main(std::size_t shard) {
   Shard& sh = *shards_[shard];
-  int zero_streak = 0;
+  std::uint64_t seen = 0;
+  bool more = false;  // the last cycle may have left frames queued
   for (;;) {
     {
       MutexLock lk(sh.sched.mu);
-      while (sh.sched.pending <= 0 && !sh.sched.stop) {
-        if (!sh.sched.cv.wait_for(sh.sched.mu, kIdlePoll))
-          break;  // timed out: run a probe cycle in case a wake was lost
-      }
+      while (!more && sh.sched.epoch == seen && !sh.sched.stop)
+        sh.sched.cv.wait(sh.sched.mu);
       if (sh.sched.stop) return;
+      seen = sh.sched.epoch;
     }
-    sh.heartbeat.fetch_add(1, std::memory_order_relaxed);
     try {
+      sh.busy_since.store(Clock::now().time_since_epoch().count(),
+                          std::memory_order_relaxed);
       if (fault_injection_armed()) {
         if (fault_should_fire("serving.shard_crash"))
           throw Error("fault injection: serving.shard_crash");
         if (fault_should_fire("serving.shard_stall")) {
-          sh.stalled.store(true, std::memory_order_relaxed);
-          MutexLock lk(sh.sched.mu);
-          while (!sh.sched.stop) sh.sched.cv.wait(sh.sched.mu);
-          return;
+          const Clock::time_point until = Clock::now() + kInjectedStall;
+          while (Clock::now() < until) std::this_thread::yield();
         }
       }
-      if (run_shard_cycle(shard) == 0) {
-        // A zero-consume cycle usually means a producer is mid-submit
-        // (the pending increment lands after the enqueue); yield instead
-        // of spinning hot. A long streak means the count itself is stale.
-        if (++zero_streak >= kZeroConsumeClamp) {
-          zero_streak = 0;
-          MutexLock lk(sh.sched.mu);
-          if (sh.sched.pending > 0) sh.sched.pending = 0;
-        }
-        std::this_thread::yield();
-      } else {
-        zero_streak = 0;
-      }
+      more = run_shard_cycle(shard) >= config_.batch_max;
     } catch (...) {
-      // Satellite hazard fix: nothing crosses the thread boundary. The
-      // shard parks; its streams' queued frames wait for the restart.
       sh.stat_faults.fetch_add(1, std::memory_order_relaxed);
-      sh.crashed.store(true, std::memory_order_release);
-      return;
+      sh.n_jobs = 0;
+      sh.n_cycle_streams = 0;
+      sh.rr = 0;
+      MMHAR_LOG(Error) << "serving shard " << shard
+                       << ": contained a cycle fault; continuing";
+      more = true;
     }
-  }
-}
-
-// ---- Supervision (watchdog control plane) ----------------------------------
-
-// One watchdog pass over one shard. `last_heartbeat`/`strikes` are the
-// caller's per-shard memory between passes: a crashed worker restarts
-// immediately; a heartbeat frozen across kStallStrikes passes while work
-// is pending is declared stalled and restarted. A worker busy inside a
-// long cycle keeps its heartbeat frozen too — the restart protocol just
-// joins it after the cycle finishes, so a false positive costs a restart,
-// never lost work.
-void StreamingHarService::supervise_shard(std::size_t shard,
-                                          std::uint64_t* last_heartbeat,
-                                          int* strikes) {
-  Shard& sh = *shards_[shard];
-  if (sh.crashed.load(std::memory_order_acquire)) {
-    restart_shard(shard);
-    *strikes = 0;
-    *last_heartbeat = sh.heartbeat.load(std::memory_order_relaxed);
-    return;
-  }
-  const std::uint64_t hb = sh.heartbeat.load(std::memory_order_relaxed);
-  std::int64_t pending = 0;
-  {
-    MutexLock lk(sh.sched.mu);
-    pending = sh.sched.pending;
-  }
-  if (hb == *last_heartbeat && pending > 0) {
-    if (++*strikes >= kStallStrikes) {
-      sh.stalled.store(true, std::memory_order_relaxed);
-      restart_shard(shard);
-      *strikes = 0;
-    }
-  } else {
-    *strikes = 0;
-    sh.stalled.store(false, std::memory_order_relaxed);
-  }
-  *last_heartbeat = sh.heartbeat.load(std::memory_order_relaxed);
-}
-
-// Restart protocol: stop + join the (possibly already-returned) worker,
-// reset the shard's cycle arenas — per-stream state (frame rings, result
-// rings, DRAI windows) belongs to the streams and survives untouched —
-// and respawn. Only ever called from the watchdog thread, which stop()
-// joins before touching any worker, so the std::thread object has exactly
-// one owner at a time.
-void StreamingHarService::restart_shard(std::size_t shard) {
-  Shard& sh = *shards_[shard];
-  {
-    MutexLock lk(sh.sched.mu);
-    sh.sched.stop = true;
-    sh.sched.cv.notify_all();
-  }
-  if (sh.worker.joinable()) sh.worker.join();
-  sh.n_jobs = 0;
-  sh.n_cycle_streams = 0;
-  sh.rr = 0;
-  sh.crashed.store(false, std::memory_order_relaxed);
-  sh.stalled.store(false, std::memory_order_relaxed);
-  sh.stat_restarts.fetch_add(1, std::memory_order_relaxed);
-  {
-    MutexLock lk(sh.sched.mu);
-    sh.sched.stop = false;
-  }
-  sh.worker = std::thread([this, shard] { shard_main(shard); });
-}
-
-void StreamingHarService::watchdog_main() {
-  const std::chrono::milliseconds period(config_.watchdog_ms);
-  // Cold control plane: these two vectors are the watchdog's entire
-  // working set, allocated once before the first pass.
-  std::vector<std::uint64_t> last(shards_.size(), 0);
-  std::vector<int> strikes(shards_.size(), 0);
-  for (;;) {
-    {
-      MutexLock lk(watchdog_->mu);
-      if (watchdog_->stop) return;
-      watchdog_->cv.wait_for(watchdog_->mu, period);
-      if (watchdog_->stop) return;
-    }
-    for (std::size_t i = 0; i < shards_.size(); ++i)
-      supervise_shard(i, &last[i], &strikes[i]);
+    sh.busy_since.store(0, std::memory_order_relaxed);
   }
 }
 
@@ -1188,29 +1056,11 @@ void StreamingHarService::start() {
   }
   for (std::size_t i = 0; i < shards_.size(); ++i)
     shards_[i]->worker = std::thread([this, i] { shard_main(i); });
-  if (config_.watchdog_ms > 0) {
-    {
-      MutexLock lk(watchdog_->mu);
-      watchdog_->stop = false;
-    }
-    watchdog_thread_ = std::thread([this] { watchdog_main(); });
-    watchdog_running_.store(true, std::memory_order_relaxed);
-  }
   started_ = true;
 }
 
 void StreamingHarService::stop() {
   if (!started_) return;
-  // The watchdog goes first so no restart races the worker joins below.
-  if (watchdog_thread_.joinable()) {
-    {
-      MutexLock lk(watchdog_->mu);
-      watchdog_->stop = true;
-      watchdog_->cv.notify_all();
-    }
-    watchdog_thread_.join();
-    watchdog_running_.store(false, std::memory_order_relaxed);
-  }
   for (std::unique_ptr<Shard>& sh : shards_) {
     MutexLock lk(sh->sched.mu);
     sh->sched.stop = true;

@@ -84,25 +84,25 @@
 //     run. A stream exceeding max_stream_faults consecutive faults is
 //     suspended: its backlog is shed (suspended_dropped) and only one
 //     recovery-probe frame per cycle is processed until a frame succeeds.
-//   * Supervision — shard_main lets no exception escape (a crash marks
-//     the shard and parks it); when watchdog_ms > 0 a watchdog thread
-//     compares per-shard heartbeat epochs against pending work, restarts
-//     crashed or stalled workers with an arena reset while the other
-//     shards keep serving, and the whole story is snapshotted by
-//     health(). Fault-injection sites serving.frame_poison /
-//     serving.infer_fail / serving.shard_stall / serving.shard_crash
-//     (common/fault_injection.h) drive every one of these paths
-//     deterministically in tests; disarmed, they cost one relaxed atomic
-//     load and the zero-allocation steady state is unchanged.
+//   * Worker faults — shard_main lets no exception escape: it catches,
+//     counts the fault in ShardStats::faults, resets the shard's cycle
+//     state, and keeps looping on the same thread while the other shards
+//     keep serving. A stall is reported, not repaired: health() derives
+//     each shard's ShardStats::busy_ms on read from the time its current
+//     cycle began. The service cannot preempt a wedged worker — a cycle
+//     that never returns holds its shard (and stop()) until it does.
+//     Fault-injection sites serving.frame_poison / serving.infer_fail /
+//     serving.shard_stall / serving.shard_crash (common/fault_injection.h)
+//     drive every one of these paths deterministically in tests; disarmed,
+//     they cost one relaxed atomic load and the zero-allocation steady
+//     state is unchanged.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "common/thread_annotations.h"
@@ -143,13 +143,6 @@ struct ServingConfig {
   /// frame per cycle; the first clean frame lifts the suspension.
   std::size_t max_stream_faults = 3;
 
-  /// Shard-supervision watchdog cadence in milliseconds; 0 (default)
-  /// disables supervision entirely (no watchdog thread). When enabled,
-  /// a worker whose heartbeat freezes while work is pending, or that
-  /// died containing an escaped exception, is restarted with its cycle
-  /// arenas reset while the other shards keep serving.
-  long watchdog_ms = 0;
-
   // Radar frame geometry every stream must honor.
   std::size_t num_chirps = 16;
   std::size_t num_antennas = 16;
@@ -163,7 +156,7 @@ struct ServingConfig {
 
   /// Defaults overridden by MMHAR_SERVING_BATCH / _QUEUE_DEPTH /
   /// _DROP_POLICY ("oldest" | "newest") / _SHARDS / _SLO_MS /
-  /// _MAX_STREAM_FAULTS / _WATCHDOG_MS.
+  /// _MAX_STREAM_FAULTS.
   static ServingConfig from_env();
 };
 
@@ -192,35 +185,24 @@ struct StreamStats {
   bool suspended = false;              ///< currently suspended (probing)
 };
 
-/// Monotonic per-shard counters (snapshot; relaxed reads of the shard
-/// worker's single-writer counters).
+/// Per-shard snapshot: monotonic counters (relaxed reads of the shard
+/// worker's single-writer counters) plus the current cycle's age.
 struct ShardStats {
   std::uint64_t cycles = 0;            ///< shard cycles that consumed frames
   std::uint64_t frames = 0;            ///< frames claimed and processed
   std::uint64_t classifications = 0;   ///< results published
   std::uint64_t deadline_dropped = 0;  ///< deadline drops (claim + publish)
+  std::uint64_t faults = 0;    ///< contained stream faults + caught crashes
+  std::uint64_t busy_ms = 0;   ///< age of the worker's current cycle; 0 idle
 };
 
-/// Supervision snapshot for one shard (see ServiceHealth).
-struct ShardHealth {
-  bool crashed = false;       ///< worker died containing an exception and
-                              ///< awaits a watchdog restart
-  bool stalled = false;       ///< watchdog saw a frozen heartbeat with
-                              ///< work pending (cleared on progress)
-  std::uint64_t heartbeat = 0;  ///< wake-up epochs of the worker loop
-  std::uint64_t restarts = 0;   ///< supervised worker restarts
-  std::uint64_t faults = 0;     ///< contained faults observed by this shard
-};
-
-/// Whole-service fault/supervision snapshot (cold path: allocates the
-/// per-shard vector; not for the serving hot loop).
+/// Whole-service fault snapshot (cold path: allocates the per-shard
+/// vector; not for the serving hot loop).
 struct ServiceHealth {
-  bool watchdog_running = false;
   std::uint64_t quarantined = 0;        ///< sum of StreamStats::quarantined
   std::uint64_t errors = 0;             ///< sum of StreamStats::errors
-  std::uint64_t restarts = 0;           ///< sum of ShardHealth::restarts
   std::size_t suspended_streams = 0;    ///< streams currently suspended
-  std::vector<ShardHealth> shards;
+  std::vector<ShardStats> shards;
 };
 
 class StreamingHarService {
@@ -264,18 +246,17 @@ class StreamingHarService {
   StreamStats stream_stats(std::size_t stream) const MMHAR_REALTIME_HANDOFF;
   ShardStats shard_stats(std::size_t shard) const;
 
-  /// Fault/supervision snapshot: per-shard crash/stall/heartbeat/restart
-  /// state plus service-wide quarantine, error, and suspension totals.
-  /// Thread-safe, cold path (allocates the result vector).
+  /// Fault snapshot: every shard's ShardStats (faults, busy_ms) plus
+  /// service-wide quarantine, error, and suspension totals. Thread-safe,
+  /// cold path (allocates the result vector).
   ServiceHealth health() const;
 
-  /// Spawn one background worker per shard, plus the supervision
-  /// watchdog when config().watchdog_ms > 0. start/stop/run_cycle must
+  /// Spawn one background worker per shard. start/stop/run_cycle must
   /// be sequenced by the owner (single controlling thread).
   void start();
 
-  /// Ask the watchdog and every shard worker to exit and join them.
-  /// Idempotent.
+  /// Ask every shard worker to exit and join them; a worker in the
+  /// middle of a cycle finishes it first. Idempotent.
   void stop();
 
   /// Run one cycle of every shard on the calling thread, in shard order.
@@ -301,8 +282,9 @@ class StreamingHarService {
   // tools/rtcheck_roots.txt): everything reachable from them is proved
   // allocation-, blocking-, throw-free, with bounded lock hand-offs
   // permitted only in the annotated bodies themselves. shard_main is
-  // deliberately NOT annotated: its condvar wait is the idle-side sleep,
-  // outside the real-time region that starts once work exists.
+  // deliberately NOT annotated: its condvar wait is the idle-side sleep
+  // and its busy-clock reads are supervision, both outside the real-time
+  // region that starts once work exists.
   Stream* stream_ptr(std::size_t idx) const MMHAR_REALTIME_HANDOFF;
   void shard_main(std::size_t shard);
   std::size_t claim_round(Shard& sh, std::size_t budget, std::size_t* expired,
@@ -317,12 +299,6 @@ class StreamingHarService {
   void run_inference(Shard& sh) MMHAR_REALTIME_HANDOFF MMHAR_DETERMINISTIC;
   std::size_t publish_results(Shard& sh,
                               std::size_t* expired) MMHAR_REALTIME_HANDOFF;
-
-  // Supervision (cold control plane; none of it runs on the hot path).
-  void watchdog_main();
-  void supervise_shard(std::size_t shard, std::uint64_t* last_heartbeat,
-                       int* strikes);
-  void restart_shard(std::size_t shard);
 
   ServingConfig config_;
   std::size_t window_frames_ = 0;   ///< T, from the model config
@@ -343,14 +319,6 @@ class StreamingHarService {
   // element storage never moves; Stream objects are heap-stable.
   struct Registry;
   std::unique_ptr<Registry> registry_;
-
-  // Watchdog wake-up state + thread. The watchdog is joined before the
-  // shard workers in stop(), so restart_shard (watchdog thread) and
-  // stop() (owner thread) never touch a shard's std::thread concurrently.
-  struct WatchdogState;
-  std::unique_ptr<WatchdogState> watchdog_;
-  std::thread watchdog_thread_;
-  std::atomic<bool> watchdog_running_{false};
 
   bool started_ = false;  ///< owner-thread state, not shared
 };

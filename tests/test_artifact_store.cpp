@@ -249,6 +249,16 @@ TEST_F(ArtifactStoreTest, MalformedSpecThrows) {
   auto& fi = FaultInjector::instance();
   EXPECT_THROW(fi.configure("site@notanumber", 1), InvalidArgument);
   EXPECT_THROW(fi.configure("site=2.5", 1), InvalidArgument);
+  // strtoull wraps "-1" to 2^64-1, a rule that would never fire.
+  EXPECT_THROW(fi.configure("site@-1", 1), InvalidArgument);
+  EXPECT_THROW(fi.configure("site@+3", 1), InvalidArgument);
+  EXPECT_THROW(fi.configure("site@ 3", 1), InvalidArgument);
+  EXPECT_THROW(fi.configure("site=-0", 1), InvalidArgument);
+  EXPECT_THROW(fi.configure("site=+0.5", 1), InvalidArgument);
+  EXPECT_THROW(fi.configure("site= 0.5", 1), InvalidArgument);
+  // Both suffixes would arm a site literally named "a=0.5" (or "a@3").
+  EXPECT_THROW(fi.configure("a=0.5@3", 1), InvalidArgument);
+  EXPECT_THROW(fi.configure("a@3=0.5", 1), InvalidArgument);
   EXPECT_FALSE(fi.armed());
 }
 

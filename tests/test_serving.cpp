@@ -737,6 +737,53 @@ TEST(Serving, ShardStatsAccounting) {
   EXPECT_THROW(svc.shard_stats(cfg.num_shards), Error);
 }
 
+// A shard worker sleeps untimed and wakes when its submit epoch moves.
+// First, a backlog queued before start() must drain from the one wake-up
+// through back-to-back full cycles (batch_max = 1). Then strict submit →
+// result round trips, one frame in flight at a time, each under a 1 s
+// deadline: with no idle poll to fall back on, a single lost wake-up
+// fails this test instead of costing latency.
+TEST(Serving, EveryAdmittedFrameWakesItsWorker) {
+  const har::HarModelConfig mc = test_model_config();
+  har::HarModel model(mc);
+  ServingConfig cfg = test_serving_config();
+  cfg.max_streams = 1;
+  cfg.batch_max = 1;
+  cfg.queue_depth = mc.frames;
+  cfg.drop_policy = DropPolicy::kNewest;
+  StreamingHarService svc(cfg, model);
+  const std::size_t sid = svc.add_stream();
+  const std::vector<dsp::RadarCube> pool = random_frames(mc.frames + 3, 4242);
+  const std::size_t backlog = mc.frames - 1;  // one short of a window
+  for (std::size_t i = 0; i < backlog; ++i)
+    ASSERT_TRUE(svc.submit_frame(sid, pool[i]));
+  svc.start();
+  const auto drained_by =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (svc.shard_stats(0).frames < backlog &&
+         std::chrono::steady_clock::now() < drained_by)
+    std::this_thread::yield();
+  ASSERT_EQ(svc.shard_stats(0).frames, backlog)
+      << "a queued backlog was not drained within 1 s";
+
+  constexpr std::size_t kRoundTrips = 500;
+  std::array<Classification, 4> buf;
+  for (std::size_t i = backlog; i < backlog + kRoundTrips; ++i) {
+    ASSERT_TRUE(svc.submit_frame(sid, pool[i % pool.size()]))
+        << "frame " << i << " refused with nothing in flight";
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(1);
+    std::size_t n = 0;
+    while ((n = svc.poll(sid, std::span<Classification>(buf))) == 0 &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
+    ASSERT_EQ(n, 1u) << "frame " << i
+                     << " got no result within 1 s (lost wake-up)";
+    EXPECT_EQ(buf[0].frame_seq, i);
+  }
+  svc.stop();
+}
+
 // Background batcher + concurrent producers; primarily a TSan target.
 TEST(Serving, ConcurrentProducersSmoke) {
   const har::HarModelConfig mc = test_model_config();

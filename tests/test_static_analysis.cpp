@@ -294,7 +294,7 @@ TEST(AnalyzeRealTree, ServingKnobsAreRegisteredAndDocumented) {
       "MMHAR_SERVING_BATCH",       "MMHAR_SERVING_DROP_POLICY",
       "MMHAR_SERVING_FRAMES",      "MMHAR_SERVING_MAX_STREAM_FAULTS",
       "MMHAR_SERVING_QUEUE_DEPTH", "MMHAR_SERVING_RATE_HZ",
-      "MMHAR_SERVING_STREAMS",     "MMHAR_SERVING_WATCHDOG_MS",
+      "MMHAR_SERVING_STREAMS",
   };
   const std::string registry =
       read_file(kRoot / "src" / "common" / "env_registry.cpp");

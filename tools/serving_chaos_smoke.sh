@@ -5,10 +5,10 @@
 # attributed in the health counters — then run a disarmed control that
 # must classify everything exactly with zero fault counters.
 #
-# The heavy lifting (multi-producer load, accounting identities, restart
-# assertions) lives in bench/bench_serving_chaos.cpp; this script arms
-# the injector, checks the two exit codes, and cross-checks the summary
-# counters it prints.
+# The heavy lifting (multi-producer load, accounting identities, crash
+# containment assertions) lives in bench/bench_serving_chaos.cpp; this
+# script arms the injector, checks the two exit codes, and cross-checks
+# the summary counters it prints.
 #
 # Usage: tools/serving_chaos_smoke.sh [path-to-chaos-binary]
 # Default binary: build/bench/bench_serving_chaos
@@ -26,7 +26,6 @@ trap 'rm -rf "$WORK"' EXIT
 
 export MMHAR_LOG_LEVEL=${MMHAR_LOG_LEVEL:-3}
 export MMHAR_SERVING_SHARDS=${MMHAR_SERVING_SHARDS:-4}
-export MMHAR_SERVING_WATCHDOG_MS=${MMHAR_SERVING_WATCHDOG_MS:-5}
 export MMHAR_SERVING_FRAMES=${MMHAR_SERVING_FRAMES:-24}
 
 # Pull "key=value" integer counters out of the driver's summary line.
@@ -48,16 +47,23 @@ if ! grep -q "serving_chaos: OK" "$WORK/armed.out"; then
 fi
 # ~77 expected poison draws at p=0.05 over 64x24 claims and a
 # deterministic crash@3: zero fires means the sites are not wired, not
-# bad luck.
+# bad luck. The shard faults count every stream fault plus every caught
+# crash, so the crash fire must show up in the surplus.
 quarantined=$(counter "$WORK/armed.out" quarantined)
-restarts=$(counter "$WORK/armed.out" restarts)
+errors=$(counter "$WORK/armed.out" errors)
+faults=$(counter "$WORK/armed.out" faults)
+crash=$(counter "$WORK/armed.out" crash)
 if [ -z "$quarantined" ] || [ "$quarantined" -lt 1 ]; then
   echo "serving_chaos_smoke: no poisoned frame was quarantined" >&2
   status=1
 fi
-if [ -z "$restarts" ] || [ "$restarts" -lt 1 ]; then
-  echo "serving_chaos_smoke: the injected shard crash triggered no" \
-       "supervised restart" >&2
+if [ -z "$crash" ] || [ "$crash" -lt 1 ]; then
+  echo "serving_chaos_smoke: the injected shard crash never fired" >&2
+  status=1
+elif [ -z "$faults" ] || [ -z "$errors" ] ||
+     [ $((faults - quarantined - errors)) -ne "$crash" ]; then
+  echo "serving_chaos_smoke: the injected shard crash is not counted" \
+       "in the shard faults" >&2
   status=1
 fi
 
@@ -68,7 +74,7 @@ if ! MMHAR_FAULT_SPEC= "$BIN" > "$WORK/control.out" 2>&1; then
   exit 1
 fi
 grep "chaos summary" "$WORK/control.out"
-for key in quarantined errors shed restarts; do
+for key in quarantined errors shed faults; do
   v=$(counter "$WORK/control.out" "$key")
   if [ -z "$v" ] || [ "$v" -ne 0 ]; then
     echo "serving_chaos_smoke: disarmed control has nonzero $key" >&2
