@@ -6,8 +6,10 @@
 // so the perf trajectory is comparable across PRs without parsing
 // google-benchmark console output. The DSP sequence entry also carries
 // the speedup over a retained scalar per-transform reference (the pre-
-// engine implementation). Numbers are best-of-N wall time on the current
-// MMHAR_THREADS setting.
+// engine implementation). BM_InferForward/{1,8,48} is the serving
+// forward (har::infer_forward, default HarModelConfig) per window at
+// micro-batches of 1, 8 and 48 windows. Numbers are best-of-N wall time
+// on the current MMHAR_THREADS setting.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -20,6 +22,8 @@
 #include "common/thread_pool.h"
 #include "dsp/heatmap.h"
 #include "har/generator.h"
+#include "har/infer.h"
+#include "har/model.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -111,6 +115,25 @@ Tensor scalar_drai_sequence(const std::vector<dsp::RadarCube>& frames,
   return seq;
 }
 
+// Best-of-15 wall seconds per window of one infer_forward call over
+// `batch` uniform-random windows.
+double infer_seconds_per_window(std::size_t batch) {
+  har::HarModel model{har::HarModelConfig{}};
+  const har::InferencePlan plan = har::build_inference_plan(model);
+  const har::HarModelConfig& mc = plan.config;
+  Rng rng(11);
+  const Tensor input = Tensor::rand_uniform(
+      {batch, mc.frames, mc.height, mc.width}, rng, 0.0F, 1.0F);
+  std::vector<float> logits(batch * mc.num_classes);
+  har::InferenceScratch scratch;
+  scratch.reserve(plan, batch);
+  const auto run = [&] {
+    har::infer_forward(plan, scratch, input.data(), batch, logits.data());
+  };
+  run();  // warm-up
+  return best_seconds(15, run) / static_cast<double>(batch);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -173,6 +196,10 @@ int main(int argc, char** argv) {
   }
   const double seq_speedup = seq_scalar_s / seq_s;
 
+  const double infer1_s = infer_seconds_per_window(1);
+  const double infer8_s = infer_seconds_per_window(8);
+  const double infer48_s = infer_seconds_per_window(48);
+
   std::FILE* f = std::fopen(out_path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", out_path);
@@ -189,19 +216,24 @@ int main(int argc, char** argv) {
                "  \"BM_RangeFft\": {\"seconds\": %.6e},\n"
                "  \"BM_DraiFrame\": {\"seconds\": %.6e},\n"
                "  \"BM_DraiSequence32\": {\"seconds\": %.6e, "
-               "\"scalar_reference_seconds\": %.6e, \"speedup\": %.2f}\n"
+               "\"scalar_reference_seconds\": %.6e, \"speedup\": %.2f},\n"
+               "  \"BM_InferForward/1\": {\"seconds_per_window\": %.6e},\n"
+               "  \"BM_InferForward/8\": {\"seconds_per_window\": %.6e},\n"
+               "  \"BM_InferForward/48\": {\"seconds_per_window\": %.6e}\n"
                "}\n",
                env_int("MMHAR_THREADS", 0),
                std::thread::hardware_concurrency(), global_pool().size(),
                gemm_s, gflops,
                s_per_antenna, range_fft_s, drai_frame_s, seq_s, seq_scalar_s,
-               seq_speedup);
+               seq_speedup, infer1_s, infer8_s, infer48_s);
   std::fclose(f);
   std::printf(
       "gemm256: %.3f GFLOP/s   if-synthesis: %.6f s/antenna\n"
       "range_fft: %.6f s   drai_frame: %.6f s   drai_seq32: %.6f s "
-      "(scalar %.6f s, %.1fx) -> %s\n",
+      "(scalar %.6f s, %.1fx)\n"
+      "infer_forward per window: batch 1 %.1f us   batch 8 %.1f us   "
+      "batch 48 %.1f us -> %s\n",
       gflops, s_per_antenna, range_fft_s, drai_frame_s, seq_s, seq_scalar_s,
-      seq_speedup, out_path);
+      seq_speedup, infer1_s * 1e6, infer8_s * 1e6, infer48_s * 1e6, out_path);
   return 0;
 }

@@ -7,6 +7,7 @@
 
 #include "dsp/heatmap.h"
 #include "har/generator.h"
+#include "har/infer.h"
 #include "har/model.h"
 #include "nn/loss.h"
 #include "tensor/gemm.h"
@@ -199,6 +200,31 @@ void BM_ModelTrainStep(benchmark::State& state) {
       8.0 * state.iterations(), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ModelTrainStep)->Unit(benchmark::kMillisecond);
+
+// The serving forward per window at micro-batches of 1, 8 and 48 windows
+// (default HarModelConfig); bench_json_report records the same three
+// points as BM_InferForward/{1,8,48}.
+void BM_InferForward(benchmark::State& state) {
+  const std::size_t batch = static_cast<std::size_t>(state.range(0));
+  har::HarModel model{har::HarModelConfig{}};
+  const har::InferencePlan plan = har::build_inference_plan(model);
+  const har::HarModelConfig& mc = plan.config;
+  Rng rng(11);
+  const Tensor input = Tensor::rand_uniform(
+      {batch, mc.frames, mc.height, mc.width}, rng, 0.0F, 1.0F);
+  std::vector<float> logits(batch * mc.num_classes);
+  har::InferenceScratch scratch;
+  scratch.reserve(plan, batch);
+  for (auto _ : state) {
+    har::infer_forward(plan, scratch, input.data(), batch, logits.data());
+    benchmark::DoNotOptimize(logits.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["s/window"] = benchmark::Counter(
+      static_cast<double>(batch) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_InferForward)->Arg(1)->Arg(8)->Arg(48)->Unit(benchmark::kMicrosecond);
 
 void BM_SamplingShapley(benchmark::State& state) {
   const std::size_t players = 32;

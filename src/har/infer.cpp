@@ -19,75 +19,8 @@ constexpr std::size_t kConv2Stride = 2;
 constexpr std::size_t kConv2Pad = 1;
 constexpr std::size_t kPool = 2;
 
-constexpr std::size_t conv_out(std::size_t in, std::size_t kernel,
-                               std::size_t stride, std::size_t pad) {
-  return (in + 2 * pad - kernel) / stride + 1;
-}
-
 // Same as nn::LSTM's gate nonlinearity (lstm.cpp).
 float sigmoidf(float x) { return 1.0F / (1.0F + std::exp(-x)); }
-
-// Identical data movement to Conv2D::im2col (conv.cpp): col layout
-// [C_in*K*K, OH*OW], zero outside the padded input.
-void im2col(const float* img, std::size_t channels, std::size_t h,
-            std::size_t w, std::size_t kernel, std::size_t stride,
-            std::size_t pad, float* col) {
-  const std::size_t oh = conv_out(h, kernel, stride, pad);
-  const std::size_t ow = conv_out(w, kernel, stride, pad);
-  const std::size_t ocells = oh * ow;
-  std::size_t row = 0;
-  for (std::size_t c = 0; c < channels; ++c) {
-    const float* plane = img + c * h * w;
-    for (std::size_t ky = 0; ky < kernel; ++ky) {
-      for (std::size_t kx = 0; kx < kernel; ++kx, ++row) {
-        float* out = col + row * ocells;
-        for (std::size_t oy = 0; oy < oh; ++oy) {
-          const std::ptrdiff_t iy =
-              static_cast<std::ptrdiff_t>(oy * stride + ky) -
-              static_cast<std::ptrdiff_t>(pad);
-          for (std::size_t ox = 0; ox < ow; ++ox) {
-            const std::ptrdiff_t ix =
-                static_cast<std::ptrdiff_t>(ox * stride + kx) -
-                static_cast<std::ptrdiff_t>(pad);
-            const bool inside =
-                iy >= 0 && iy < static_cast<std::ptrdiff_t>(h) && ix >= 0 &&
-                ix < static_cast<std::ptrdiff_t>(w);
-            out[oy * ow + ox] =
-                inside ? plane[static_cast<std::size_t>(iy) * w +
-                               static_cast<std::size_t>(ix)]
-                       : 0.0F;
-          }
-        }
-      }
-    }
-  }
-}
-
-// One conv layer over N frames: per-frame im2col + prepacked-A GEMM +
-// bias, then ReLU — the same kernel sequence Conv2D::forward + nn::ReLU
-// runs, fused frame by frame (elementwise ops commute with the frame
-// order, so values are unchanged).
-void conv_relu(const PackedA& wpack, const float* bias, std::size_t channels,
-               const float* in, std::size_t n_frames, std::size_t in_ch,
-               std::size_t h, std::size_t w, std::size_t kernel,
-               std::size_t stride, std::size_t pad, float* col, float* out) {
-  const std::size_t oh = conv_out(h, kernel, stride, pad);
-  const std::size_t ow = conv_out(w, kernel, stride, pad);
-  const std::size_t ocells = oh * ow;
-  for (std::size_t f = 0; f < n_frames; ++f) {
-    im2col(in + f * in_ch * h * w, in_ch, h, w, kernel, stride, pad, col);
-    float* dst = out + f * channels * ocells;
-    sgemm_packed_a_serial(wpack, ocells, 1.0F, col, 0.0F, dst);
-    for (std::size_t oc = 0; oc < channels; ++oc) {
-      const float bv = bias[oc];
-      float* plane = dst + oc * ocells;
-      for (std::size_t i = 0; i < ocells; ++i) {
-        const float v = plane[i] + bv;
-        plane[i] = v > 0.0F ? v : 0.0F;
-      }
-    }
-  }
-}
 
 std::vector<float> copy_bias(const Tensor& t) {
   const std::span<const float> flat = t.flat();
@@ -101,10 +34,12 @@ InferencePlan build_inference_plan(HarModel& model) {
   plan.config = model.config();
   const HarModelConfig& cfg = plan.config;
 
-  plan.h1 = conv_out(cfg.height, kConv1Kernel, kConv1Stride, kConv1Pad);
-  plan.w1 = conv_out(cfg.width, kConv1Kernel, kConv1Stride, kConv1Pad);
-  plan.h2 = conv_out(plan.h1, kConv2Kernel, kConv2Stride, kConv2Pad);
-  plan.w2 = conv_out(plan.w1, kConv2Kernel, kConv2Stride, kConv2Pad);
+  plan.conv1 = {1, cfg.height, cfg.width, kConv1Kernel, kConv1Stride,
+                kConv1Pad};
+  plan.conv2 = {cfg.conv1_channels, plan.conv1.out_h(), plan.conv1.out_w(),
+                kConv2Kernel, kConv2Stride, kConv2Pad};
+  plan.h2 = plan.conv2.out_h();
+  plan.w2 = plan.conv2.out_w();
   plan.hp = plan.h2 / kPool;
   plan.wp = plan.w2 / kPool;
   plan.spatial = plan.hp * plan.wp * cfg.conv2_channels;
@@ -115,8 +50,8 @@ InferencePlan build_inference_plan(HarModel& model) {
   MMHAR_REQUIRE(params.size() == 11,
                 "build_inference_plan: unexpected parameter count "
                     << params.size());
-  const std::size_t fan1 = 1 * kConv1Kernel * kConv1Kernel;
-  const std::size_t fan2 = cfg.conv1_channels * kConv2Kernel * kConv2Kernel;
+  const std::size_t fan1 = plan.conv1.fan_in();
+  const std::size_t fan2 = plan.conv2.fan_in();
   const std::size_t g4 = 4 * cfg.lstm_hidden;
   const Tensor& c1w = *params[0];
   const Tensor& c2w = *params[2];
@@ -150,67 +85,76 @@ void InferenceScratch::reserve(const InferencePlan& plan,
                                std::size_t max_batch) {
   const HarModelConfig& cfg = plan.config;
   const std::size_t n = max_batch * cfg.frames;
-  const std::size_t fan1 = 1 * kConv1Kernel * kConv1Kernel;
-  const std::size_t fan2 = cfg.conv1_channels * kConv2Kernel * kConv2Kernel;
-  const std::size_t o1 = plan.h1 * plan.w1;
-  const std::size_t o2 = plan.h2 * plan.w2;
+  const ConvGeometry& g1 = plan.conv1;
+  const ConvGeometry& g2 = plan.conv2;
   const auto grow = [](std::vector<float>& v, std::size_t need) {
     // mmhar-rtcheck: allow(alloc) — grow-once scratch; a forward at a
     // warmed batch size takes the size check, never the resize.
     if (v.size() < need) v.resize(need);
   };
-  grow(col, std::max(fan1 * o1, fan2 * o2));
-  grow(act1, n * cfg.conv1_channels * o1);
-  grow(act2, n * cfg.conv2_channels * o2);
+  grow(act1, cfg.conv1_channels * g1.out_h() * g1.out_w());
+  grow(act2, cfg.conv2_channels * plan.h2 * plan.w2);
+  grow(bordered, std::max(g1.bordered_floats(), g2.bordered_floats()));
+  grow(panel, std::max(g1.panel_floats(), g2.panel_floats()));
   grow(pooled, n * plan.spatial);
   grow(feats, n * cfg.feature_dim);
   grow(x_step, max_batch * cfg.feature_dim);
   grow(z, max_batch * 4 * cfg.lstm_hidden);
   grow(h, max_batch * cfg.lstm_hidden);
   grow(c, max_batch * cfg.lstm_hidden);
+  grow(out, max_batch * cfg.num_classes);
 }
 
-void infer_forward(const InferencePlan& plan, InferenceScratch& scratch,
-                   const float* input, std::size_t batch, float* logits) {
+namespace {
+
+// Window i is row rows[i] of input and logits, or row i when rows is null.
+void forward_rows(const InferencePlan& plan, InferenceScratch& scratch,
+                  const float* input, const std::size_t* rows,
+                  std::size_t batch, float* logits) {
   MMHAR_REQUIRE(input != nullptr && logits != nullptr && batch > 0,
                 "infer_forward: null buffers or empty batch");
   scratch.reserve(plan, batch);  // no-op once warmed
   const HarModelConfig& cfg = plan.config;
   const std::size_t n = batch * cfg.frames;
+  const std::size_t frame_len = cfg.height * cfg.width;
   const std::size_t o2 = plan.h2 * plan.w2;
   const std::size_t f_dim = cfg.feature_dim;
   const std::size_t h_dim = cfg.lstm_hidden;
   const std::size_t g4 = 4 * h_dim;
 
-  // Per-frame CNN over the merged batch*time axis, exactly as
-  // HarModel::forward runs it.
+  // Per-frame CNN, one frame at a time so its activations stay in cache:
+  // conv1 -> ReLU -> conv2 -> ReLU -> 2x2 max pool into the frame's row of
+  // the [N, spatial] flatten. Pool scan order and the strict `>`
+  // tie-break match MaxPool2D::forward.
   float* const act1 = scratch.act1.data();
   float* const act2 = scratch.act2.data();
-  conv_relu(plan.conv1_w, plan.conv1_b.data(), cfg.conv1_channels, input, n,
-            1, cfg.height, cfg.width, kConv1Kernel, kConv1Stride, kConv1Pad,
-            scratch.col.data(), act1);
-  conv_relu(plan.conv2_w, plan.conv2_b.data(), cfg.conv2_channels, act1, n,
-            cfg.conv1_channels, plan.h1, plan.w1, kConv2Kernel, kConv2Stride,
-            kConv2Pad, scratch.col.data(), act2);
-
-  // 2x2 max pool, then the flatten is just the [N, spatial] view. Scan
-  // order and the strict `>` tie-break match MaxPool2D::forward.
   float* const pooled = scratch.pooled.data();
-  const std::size_t planes = n * cfg.conv2_channels;
-  for (std::size_t bc = 0; bc < planes; ++bc) {
-    const float* plane = act2 + bc * o2;
-    float* out = pooled + bc * plan.hp * plan.wp;
-    for (std::size_t oy = 0; oy < plan.hp; ++oy) {
-      for (std::size_t ox = 0; ox < plan.wp; ++ox) {
-        float best = -std::numeric_limits<float>::infinity();
-        for (std::size_t dy = 0; dy < kPool; ++dy) {
-          for (std::size_t dx = 0; dx < kPool; ++dx) {
-            const float v =
-                plane[(oy * kPool + dy) * plan.w2 + ox * kPool + dx];
-            if (v > best) best = v;
+  for (std::size_t b = 0; b < batch; ++b) {
+    const float* window =
+        input + (rows != nullptr ? rows[b] : b) * cfg.frames * frame_len;
+    for (std::size_t t = 0; t < cfg.frames; ++t) {
+      conv2d_frame(plan.conv1_w, plan.conv1, window + t * frame_len,
+                   plan.conv1_b.data(), /*relu=*/true, scratch.bordered.data(),
+                   scratch.panel.data(), act1);
+      conv2d_frame(plan.conv2_w, plan.conv2, act1, plan.conv2_b.data(),
+                   /*relu=*/true, scratch.bordered.data(),
+                   scratch.panel.data(), act2);
+      float* out = pooled + (b * cfg.frames + t) * plan.spatial;
+      for (std::size_t ch = 0; ch < cfg.conv2_channels; ++ch) {
+        const float* plane = act2 + ch * o2;
+        for (std::size_t oy = 0; oy < plan.hp; ++oy) {
+          for (std::size_t ox = 0; ox < plan.wp; ++ox) {
+            float best = -std::numeric_limits<float>::infinity();
+            for (std::size_t dy = 0; dy < kPool; ++dy) {
+              for (std::size_t dx = 0; dx < kPool; ++dx) {
+                const float v =
+                    plane[(oy * kPool + dy) * plan.w2 + ox * kPool + dx];
+                if (v > best) best = v;
+              }
+            }
+            *out++ = best;
           }
         }
-        out[oy * plan.wp + ox] = best;
       }
     }
   }
@@ -264,13 +208,30 @@ void infer_forward(const InferencePlan& plan, InferenceScratch& scratch,
     }
   }
 
-  // Classifier head on the final hidden state.
-  sgemm_packed_b(batch, 1.0F, hbuf, plan.head_w, 0.0F, logits);
+  // Classifier head on the final hidden state, then scatter to the rows.
+  float* const head_out = scratch.out.data();
+  sgemm_packed_b(batch, 1.0F, hbuf, plan.head_w, 0.0F, head_out);
   const float* const head_b = plan.head_b.data();
   for (std::size_t b = 0; b < batch; ++b) {
-    float* row = logits + b * cfg.num_classes;
-    for (std::size_t j = 0; j < cfg.num_classes; ++j) row[j] += head_b[j];
+    const float* src = head_out + b * cfg.num_classes;
+    float* row = logits + (rows != nullptr ? rows[b] : b) * cfg.num_classes;
+    for (std::size_t j = 0; j < cfg.num_classes; ++j)
+      row[j] = src[j] + head_b[j];
   }
+}
+
+}  // namespace
+
+void infer_forward(const InferencePlan& plan, InferenceScratch& scratch,
+                   const float* input, const std::size_t* rows,
+                   std::size_t batch, float* logits) {
+  MMHAR_REQUIRE(rows != nullptr, "infer_forward: null row list");
+  forward_rows(plan, scratch, input, rows, batch, logits);
+}
+
+void infer_forward(const InferencePlan& plan, InferenceScratch& scratch,
+                   const float* input, std::size_t batch, float* logits) {
+  forward_rows(plan, scratch, input, nullptr, batch, logits);
 }
 
 }  // namespace mmhar::har

@@ -45,8 +45,8 @@ class HarModel {
   void backward(const Tensor& grad_logits);
 
   /// CNN feature extractor l_θ: frames [N, H, W] -> features [N, F].
-  /// Runs in inference mode and does not disturb training caches is NOT
-  /// guaranteed — do not interleave with an in-flight forward/backward.
+  /// Runs in inference mode but overwrites the CNN layers' forward caches,
+  /// so never call it between a training forward and its backward.
   Tensor frame_features(const Tensor& frames);
 
   /// LSTM + head over an explicit feature series [B, T, F] -> logits.

@@ -101,23 +101,19 @@ Tensor Conv2D::forward(const Tensor& input, bool /*training*/) {
   const std::size_t ocells = oh * ow;
 
   Tensor output({batch, out_channels_, oh, ow});
-  std::vector<float> col(fan_in * ocells);
-  // The weight matrix is replayed against every im2col'd image: pack it
-  // into microkernel panels once and reuse across the batch.
+  const ConvGeometry geom{in_channels_, in_h_,   in_w_,
+                          kernel_,      stride_, padding_};
+  std::vector<float> bordered(geom.bordered_floats());
+  std::vector<float> panel(geom.panel_floats());
+  // The weight matrix is replayed against every image: pack it into
+  // microkernel tiles once and reuse across the batch.
   const PackedA wpack = pack_a(out_channels_, fan_in, weight_.data());
   MMHAR_CHECK(input.size() == batch * in_channels_ * in_h_ * in_w_ &&
               output.size() == batch * out_channels_ * ocells);
-  for (std::size_t b = 0; b < batch; ++b) {
-    im2col(input.data() + b * in_channels_ * in_h_ * in_w_, in_h_, in_w_,
-           col.data());
-    float* out = output.data() + b * out_channels_ * ocells;
-    sgemm_packed_a(wpack, ocells, 1.0F, col.data(), 0.0F, out);
-    for (std::size_t oc = 0; oc < out_channels_; ++oc) {
-      const float bv = bias_[oc];
-      float* plane = out + oc * ocells;
-      for (std::size_t i = 0; i < ocells; ++i) plane[i] += bv;
-    }
-  }
+  for (std::size_t b = 0; b < batch; ++b)
+    conv2d_frame(wpack, geom, input.data() + b * in_channels_ * in_h_ * in_w_,
+                 bias_.data(), /*relu=*/false, bordered.data(), panel.data(),
+                 output.data() + b * out_channels_ * ocells);
   return output;
 }
 

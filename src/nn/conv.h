@@ -1,4 +1,6 @@
-// 2-D convolution and max-pooling layers (im2col + GEMM formulation).
+// 2-D convolution and max-pooling layers. Conv2D's forward runs the
+// frame-at-a-time packed kernel (tensor/gemm.h conv2d_frame); its backward
+// uses the im2col + GEMM formulation.
 #pragma once
 
 #include <cstddef>

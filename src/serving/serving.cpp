@@ -171,9 +171,7 @@ struct StreamingHarService::Shard {
   std::size_t n_jobs = 0;
   std::vector<float> net_input;          ///< [jobs x T x R x A]
   std::vector<float> logits;             ///< [jobs x C]
-  std::vector<float> model_input;        ///< per-model gather [jobs x T x R x A]
-  std::vector<float> model_logits;       ///< per-model logits [jobs x C]
-  std::vector<std::size_t> model_rows;   ///< job index per gathered row
+  std::vector<std::size_t> model_rows;   ///< one model's job indices
   std::vector<std::uint8_t> claim_dead;  ///< per-claim containment marks
   std::vector<std::uint8_t> job_dead;    ///< per-job containment marks
   har::InferenceScratch scratch;
@@ -266,8 +264,6 @@ StreamingHarService::StreamingHarService(const ServingConfig& config,
     sh->jobs.resize(config.batch_max);
     sh->net_input.resize(config.batch_max * window_frames_ * hw);
     sh->logits.resize(config.batch_max * num_classes_);
-    sh->model_input.resize(config.batch_max * window_frames_ * hw);
-    sh->model_logits.resize(config.batch_max * num_classes_);
     sh->model_rows.resize(config.batch_max);
     sh->claim_dead.resize(config.batch_max, 0);
     sh->job_dead.resize(config.batch_max, 0);
@@ -769,11 +765,10 @@ void StreamingHarService::clear_stream_fault_streak(Stream* s) {
 }
 
 // Cross-stream micro-batched CNN-LSTM forward over every window that
-// completed this cycle — one infer_forward per model version with jobs.
-// With a single registered model the gather is skipped and the whole
-// cycle goes through one call; either way each output row's arithmetic is
-// independent of batch composition, so grouping by model cannot change
-// any stream's logits.
+// completed this cycle — one infer_forward per model version with jobs,
+// reading that model's rows of net_input in place and writing the same
+// rows of logits. Each output row's arithmetic is independent of batch
+// composition, so grouping by model cannot change any stream's logits.
 //
 // Containment: an injected serving.infer_fail (one draw per job row) or
 // an mmhar::Error escaping the fused forward degrades the cycle to
@@ -786,7 +781,8 @@ void StreamingHarService::run_inference(Shard& sh) {
   const dsp::HeatmapConfig& hm = config_.heatmap;
   const std::size_t wlen =
       window_frames_ * hm.range_bins * hm.angle_bins;
-  MMHAR_CHECK(sh.logits.size() >= sh.n_jobs * num_classes_);
+  MMHAR_CHECK(sh.net_input.size() >= sh.n_jobs * wlen &&
+              sh.logits.size() >= sh.n_jobs * num_classes_);
   MMHAR_CHECK(sh.job_dead.size() >= sh.n_jobs);
   std::fill_n(sh.job_dead.begin(), sh.n_jobs, std::uint8_t{0});
 
@@ -805,36 +801,13 @@ void StreamingHarService::run_inference(Shard& sh) {
 
   if (!degraded) {
     try {
-      if (models_.size() == 1) {
-        har::infer_forward(models_.plan(0), sh.scratch, sh.net_input.data(),
-                           sh.n_jobs, sh.logits.data());
-      } else {
-        for (std::size_t m = 0; m < models_.size(); ++m) {
-          std::size_t rows = 0;
-          for (std::size_t j = 0; j < sh.n_jobs; ++j) {
-            if (sh.jobs[j].model != m) continue;
-            sh.model_rows[rows] = j;
-            std::copy(
-                sh.net_input.begin() + static_cast<std::ptrdiff_t>(j * wlen),
-                sh.net_input.begin() +
-                    static_cast<std::ptrdiff_t>((j + 1) * wlen),
-                sh.model_input.begin() +
-                    static_cast<std::ptrdiff_t>(rows * wlen));
-            ++rows;
-          }
-          if (rows == 0) continue;
-          har::infer_forward(models_.plan(m), sh.scratch,
-                             sh.model_input.data(), rows,
-                             sh.model_logits.data());
-          for (std::size_t r = 0; r < rows; ++r)
-            std::copy(sh.model_logits.begin() +
-                          static_cast<std::ptrdiff_t>(r * num_classes_),
-                      sh.model_logits.begin() +
-                          static_cast<std::ptrdiff_t>((r + 1) * num_classes_),
-                      sh.logits.begin() +
-                          static_cast<std::ptrdiff_t>(sh.model_rows[r] *
-                                                      num_classes_));
-        }
+      for (std::size_t m = 0; m < models_.size(); ++m) {
+        std::size_t rows = 0;
+        for (std::size_t j = 0; j < sh.n_jobs; ++j)
+          if (sh.jobs[j].model == m) sh.model_rows[rows++] = j;
+        if (rows == 0) continue;
+        har::infer_forward(models_.plan(m), sh.scratch, sh.net_input.data(),
+                           sh.model_rows.data(), rows, sh.logits.data());
       }
     } catch (const Error&) {
       degraded = true;
@@ -844,12 +817,9 @@ void StreamingHarService::run_inference(Shard& sh) {
   if (degraded) {
     for (std::size_t j = 0; j < sh.n_jobs; ++j) {
       if (sh.job_dead[j] != 0) continue;
-      MMHAR_CHECK((j + 1) * wlen <= sh.net_input.size() &&
-                  (j + 1) * num_classes_ <= sh.logits.size());
       try {
         har::infer_forward(models_.plan(sh.jobs[j].model), sh.scratch,
-                           sh.net_input.data() + j * wlen, 1,
-                           sh.logits.data() + j * num_classes_);
+                           sh.net_input.data(), &j, 1, sh.logits.data());
       } catch (const Error&) {
         sh.job_dead[j] = 1;
         record_stream_fault(sh, sh.jobs[j].stream, /*quarantine=*/false);

@@ -54,8 +54,8 @@
 // one registered model version at add_stream time (clean vs backdoored
 // A/B over live streams is the intended experiment). A shard cycle
 // micro-batches each model's completed windows through that model's
-// prepacked-GEMM plan; with a single registered model the gather
-// degenerates to the one-big-batch fast path.
+// prepacked-GEMM plan, one infer_forward per model that reads the
+// model's rows of the cycle's network input in place.
 //
 // Ownership boundaries: the ModelRegistry, window geometry, and packed
 // weights are immutable once serving starts; all per-cycle working state

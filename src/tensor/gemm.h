@@ -1,8 +1,9 @@
 // Single-precision matrix multiply kernels.
 //
-// The NN library routes every dense contraction (Conv2D via im2col, Dense,
-// LSTM gate blocks) through these. The implementation is a packed,
-// register-tiled microkernel: B is packed into cache-resident panels of
+// The NN library routes every dense contraction (Conv2D forward through
+// conv2d_frame, its backward through im2col; Dense; LSTM gate blocks)
+// through these. The implementation is a packed, register-tiled
+// microkernel: B is packed into cache-resident panels of
 // width kNR, A into zero-padded kMR-row tiles, and a kMR x kNR accumulator
 // tile stays in registers across each k-block so the inner loop is
 // branch-free FMA code. Large products are split across row tiles on the
@@ -34,9 +35,9 @@ void sgemm_bt(std::size_t m, std::size_t k, std::size_t n, float alpha,
 
 /// A matrix pre-packed into the microkernel's A-tile layout (kMR-row tiles,
 /// k-major within a tile, tail rows zero-padded). Callers that multiply
-/// the same left operand against many right-hand sides — Conv2D replaying
-/// one weight matrix over every im2col'd batch image, for instance — pack
-/// once and amortize the packing traffic across all products.
+/// the same left operand against many right-hand sides — conv2d_frame
+/// replaying one weight matrix over every frame of a batch, for instance —
+/// pack once and amortize the packing traffic across all products.
 struct PackedA {
   std::size_t m = 0;
   std::size_t k = 0;
@@ -55,14 +56,40 @@ PackedA pack_at(std::size_t m, std::size_t k, const float* a);
 void sgemm_packed_a(const PackedA& a, std::size_t n, float alpha,
                     const float* b, float beta, float* c);
 
-/// As sgemm_packed_a but guaranteed to run entirely on the calling thread
-/// (no pool dispatch) and allocation-free: B panels are packed into a
-/// thread-local grow-only buffer. Bit-identical to sgemm_packed_a — the
-/// per-element reduction order is fixed by the k-blocking, never by the
-/// thread partition. The streaming batcher's conv stage uses this form.
-void sgemm_packed_a_serial(const PackedA& a, std::size_t n, float alpha,
-                           const float* b, float beta,
-                           float* c) MMHAR_REALTIME;
+/// Geometry of one 2-D convolution over a single [in_channels, height,
+/// width] frame: square kernel, equal stride and zero padding on both axes.
+struct ConvGeometry {
+  std::size_t in_channels = 1;
+  std::size_t height = 1;
+  std::size_t width = 1;
+  std::size_t kernel = 1;
+  std::size_t stride = 1;
+  std::size_t pad = 0;
+
+  std::size_t out_h() const { return (height + 2 * pad - kernel) / stride + 1; }
+  std::size_t out_w() const { return (width + 2 * pad - kernel) / stride + 1; }
+  /// K of the convolution GEMM: rows of the im2col operand.
+  std::size_t fan_in() const { return in_channels * kernel * kernel; }
+  /// Floats conv2d_frame needs in `bordered`.
+  std::size_t bordered_floats() const;
+  /// Floats conv2d_frame needs in `panel`.
+  std::size_t panel_floats() const;
+};
+
+/// One frame of Conv2D: out[w.m, out_h*out_w] = W * im2col(in) + bias,
+/// then ReLU when `relu`, with W pre-packed as [out_channels, fan_in].
+/// The frame is copied once into `bordered` (zero border, split into
+/// stride x stride phase planes so every kernel tap reads a contiguous
+/// run of output columns). Each kNR-wide B panel of the K x N operand is
+/// then packed straight from there with contiguous row copies and run
+/// through every weight row tile. No im2col matrix is built; each panel
+/// is byte-for-byte what packing one would give, and the k-blocking is
+/// the GEMM driver's, so the output is bit-identical to im2col +
+/// sgemm_packed_a for every geometry. Serial and allocation-free:
+/// `bordered` and `panel` hold g.bordered_floats() and g.panel_floats().
+void conv2d_frame(const PackedA& w, const ConvGeometry& g, const float* in,
+                  const float* bias, bool relu, float* bordered,
+                  float* panel, float* out) MMHAR_REALTIME;
 
 /// A right-hand operand pre-packed into the microkernel's panel layout
 /// (kNR-wide column panels, k-major within a panel, tail columns

@@ -1,11 +1,14 @@
-// Tests for the HAR system: model shapes and learning, generator
-// determinism, dataset construction/caching, trainer, and metrics.
+// Tests for the HAR system: model shapes and learning, the prepacked
+// inference plan, generator determinism, dataset construction/caching,
+// trainer, and metrics.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 
 #include "har/dataset.h"
 #include "har/generator.h"
+#include "har/infer.h"
 #include "har/metrics.h"
 #include "har/model.h"
 #include "har/trainer.h"
@@ -126,6 +129,74 @@ TEST(HarModel, GradientsFlowThroughWholeStack) {
   for (const Tensor* g : model.gradients())
     if (g->l2_norm() > 0.0F) ++touched;
   EXPECT_EQ(touched, model.gradients().size());
+}
+
+// The paper-scale model, and attack_point's narrower variant (6/12/48/48).
+std::vector<HarModelConfig> serving_model_configs() {
+  HarModelConfig narrow;
+  narrow.conv1_channels = 6;
+  narrow.conv2_channels = 12;
+  narrow.feature_dim = 48;
+  narrow.lstm_hidden = 48;
+  return {HarModelConfig{}, narrow};
+}
+
+bool same_bytes(const float* a, const float* b, std::size_t n) {
+  return std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+TEST(InferencePlan, MatchesModelForwardBitwise) {
+  for (const HarModelConfig& mc : serving_model_configs()) {
+    HarModel model(mc);
+    const InferencePlan plan = build_inference_plan(model);
+    InferenceScratch scratch;
+    Rng rng(21);
+    const std::size_t wlen = mc.frames * mc.height * mc.width;
+    for (const std::size_t batch : {1, 3, 64}) {
+      const Tensor input = Tensor::rand_uniform(
+          {batch, mc.frames, mc.height, mc.width}, rng, 0.0F, 1.0F);
+      const Tensor ref = model.forward(input, /*training=*/false);
+      std::vector<float> got(batch * mc.num_classes, -1.0F);
+      infer_forward(plan, scratch, input.data(), batch, got.data());
+      EXPECT_TRUE(same_bytes(ref.data(), got.data(), got.size()))
+          << "conv1=" << mc.conv1_channels << " batch=" << batch;
+
+      // Row-index form: windows read from and logits written to scattered
+      // rows; the rows in between stay untouched.
+      std::vector<float> spread(2 * batch * wlen, 0.0F);
+      std::vector<std::size_t> rows(batch);
+      for (std::size_t b = 0; b < batch; ++b) {
+        rows[b] = 2 * (batch - 1 - b) + 1;
+        std::memcpy(spread.data() + rows[b] * wlen, input.data() + b * wlen,
+                    wlen * sizeof(float));
+      }
+      std::vector<float> logits(2 * batch * mc.num_classes, -1.0F);
+      infer_forward(plan, scratch, spread.data(), rows.data(), batch,
+                    logits.data());
+      for (std::size_t b = 0; b < batch; ++b) {
+        EXPECT_TRUE(same_bytes(ref.data() + b * mc.num_classes,
+                               logits.data() + rows[b] * mc.num_classes,
+                               mc.num_classes))
+            << "row form, batch=" << batch << " window " << b;
+        for (std::size_t j = 0; j < mc.num_classes; ++j)
+          EXPECT_EQ(logits[(rows[b] - 1) * mc.num_classes + j], -1.0F);
+      }
+    }
+  }
+}
+
+TEST(InferencePlan, ConvScratchDoesNotGrowWithBatch) {
+  HarModel model(HarModelConfig{});
+  const InferencePlan plan = build_inference_plan(model);
+  InferenceScratch one;
+  one.reserve(plan, 1);
+  InferenceScratch many;
+  many.reserve(plan, 64);
+  EXPECT_EQ(one.act1.size(), many.act1.size());
+  EXPECT_EQ(one.act2.size(), many.act2.size());
+  EXPECT_EQ(one.bordered.size(), many.bordered.size());
+  EXPECT_EQ(one.panel.size(), many.panel.size());
+  EXPECT_EQ(many.pooled.size(), 64 * one.pooled.size());
 }
 
 TEST(Generator, DeterministicPerSpec) {

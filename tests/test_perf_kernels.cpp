@@ -1,11 +1,12 @@
-// Tests for the packed GEMM microkernel and the SoA IF-synthesis kernel:
-// property tests against a naive reference, bit-exact determinism across
-// thread-pool sizes, nested-parallelism safety, and the single-frame
-// sequence edge case.
+// Tests for the packed GEMM microkernel, the packed conv kernel and the SoA
+// IF-synthesis kernel: property tests against a naive reference, bit-exact
+// determinism across thread-pool sizes, nested-parallelism safety, and the
+// single-frame sequence edge case.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/rng.h"
@@ -156,6 +157,91 @@ TEST(GemmMicrokernel, PrepackedAMatchesSgemmBitwise) {
     const PackedA packed_t = pack_at(s.m, s.k, at_store.data());
     sgemm_packed_a(packed_t, s.n, 1.0F, b.data(), 0.0F, c_atp.data());
     EXPECT_EQ(c_at, c_atp);
+  }
+}
+
+// Reference conv: a materialized im2col matrix ([C*K*K, OH*OW], zero
+// outside the input) through sgemm_packed_a, then bias and optional ReLU —
+// the formulation conv2d_frame replaces.
+std::vector<float> im2col_conv(const PackedA& w, const ConvGeometry& g,
+                               const std::vector<float>& in,
+                               const std::vector<float>& bias, bool relu) {
+  const std::size_t oh = g.out_h();
+  const std::size_t ow = g.out_w();
+  const std::size_t n = oh * ow;
+  std::vector<float> col(g.fan_in() * n);
+  std::size_t row = 0;
+  for (std::size_t c = 0; c < g.in_channels; ++c)
+    for (std::size_t ky = 0; ky < g.kernel; ++ky)
+      for (std::size_t kx = 0; kx < g.kernel; ++kx, ++row)
+        for (std::size_t oy = 0; oy < oh; ++oy)
+          for (std::size_t ox = 0; ox < ow; ++ox) {
+            const std::size_t y = oy * g.stride + ky;
+            const std::size_t x = ox * g.stride + kx;
+            const bool inside = y >= g.pad && y < g.pad + g.height &&
+                                x >= g.pad && x < g.pad + g.width;
+            col[row * n + oy * ow + ox] =
+                inside ? in[(c * g.height + y - g.pad) * g.width + x - g.pad]
+                       : 0.0F;
+          }
+  std::vector<float> out(w.m * n, 0.0F);
+  sgemm_packed_a(w, n, 1.0F, col.data(), 0.0F, out.data());
+  for (std::size_t oc = 0; oc < w.m; ++oc)
+    for (std::size_t i = 0; i < n; ++i) {
+      float& v = out[oc * n + i];
+      v += bias[oc];
+      if (relu && !(v > 0.0F)) v = 0.0F;
+    }
+  return out;
+}
+
+// conv2d_frame must equal the im2col reference byte for byte. Random
+// geometries cover M, K and N tails (channel counts off the 4-row tile,
+// panels that span partial output rows), strides 1-3 and pads 0-2; the
+// fixed list adds the HAR layers, output widths 6 and 12, K past one
+// 256-deep block and N past the GEMM's 1024-column block.
+TEST(ConvKernel, MatchesIm2colGemmBitwise) {
+  Rng rng(106);
+  struct Case {
+    ConvGeometry g;
+    std::size_t out_channels;
+  };
+  std::vector<Case> cases = {
+      {{1, 32, 32, 5, 2, 2}, 8},   {{8, 16, 16, 3, 2, 1}, 16},
+      {{1, 32, 32, 5, 2, 2}, 6},   {{6, 16, 16, 3, 2, 1}, 12},
+      {{1, 24, 24, 5, 2, 2}, 8},   {{8, 12, 12, 3, 2, 1}, 16},
+      {{3, 12, 12, 1, 1, 0}, 5},   {{30, 9, 9, 3, 1, 1}, 7},
+      {{1, 41, 37, 3, 1, 1}, 3},   {{2, 7, 11, 7, 3, 2}, 9},
+  };
+  for (int i = 0; i < 60; ++i) {
+    ConvGeometry g;
+    g.in_channels = 1 + rng.index(9);
+    g.kernel = 1 + rng.index(5);
+    g.stride = 1 + rng.index(3);
+    g.pad = rng.index(3);
+    g.height = g.kernel + rng.index(20);
+    g.width = g.kernel + rng.index(20);
+    cases.push_back({g, 1 + rng.index(13)});
+  }
+  for (const Case& cs : cases) {
+    const ConvGeometry& g = cs.g;
+    const auto in = random_vec(g.in_channels * g.height * g.width, rng);
+    const auto weights = random_vec(cs.out_channels * g.fan_in(), rng);
+    const auto bias = random_vec(cs.out_channels, rng);
+    const PackedA w = pack_a(cs.out_channels, g.fan_in(), weights.data());
+    std::vector<float> bordered(g.bordered_floats());
+    std::vector<float> panel(g.panel_floats());
+    for (const bool relu : {false, true}) {
+      const auto ref = im2col_conv(w, g, in, bias, relu);
+      std::vector<float> got(ref.size(), -1.0F);
+      conv2d_frame(w, g, in.data(), bias.data(), relu, bordered.data(),
+                   panel.data(), got.data());
+      EXPECT_EQ(0, std::memcmp(ref.data(), got.data(),
+                               ref.size() * sizeof(float)))
+          << "C=" << g.in_channels << " H=" << g.height << " W=" << g.width
+          << " K=" << g.kernel << " s=" << g.stride << " p=" << g.pad
+          << " M=" << cs.out_channels << " relu=" << relu;
+    }
   }
 }
 
