@@ -121,6 +121,32 @@ TEST(RtcheckFixtures, TransitiveViolationCarriesTheFullCallChain) {
       << r.output;
 }
 
+TEST(RtcheckFixtures, ExplicitTemplateArgumentCallIsFollowed) {
+  // `packer<8>(...)` must resolve to packer like a plain call; otherwise
+  // a kernel that dispatches to template instantiations hides their
+  // bodies from every root.
+  const fs::path dir = scratch_dir() / "template_call";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  write_file(dir / "t.cpp",
+             "namespace fixture {\n"
+             "template <int N>\n"
+             "void packer(float* out) {\n"
+             "  float* tmp = new float[N];\n"
+             "  out[0] = tmp[0];\n"
+             "}\n"
+             "void hot(float* out) MMHAR_REALTIME { packer<8>(out); }\n"
+             "}  // namespace fixture\n");
+  const RunResult r = run(kRtcheck + " --rule alloc " + q(dir));
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("t.cpp:4: [alloc]"), std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("chain: fixture::hot -> fixture::packer"),
+            std::string::npos)
+      << r.output;
+  fs::remove_all(dir);
+}
+
 TEST(RtcheckFixtures, SuppressionsHandoffAndUnreachedStaySilent) {
   const RunResult r = run(fixture_cmd());
   // allow(alloc, ...) comma list suppresses hot_suppressed's new.
@@ -288,6 +314,35 @@ TEST(RtcheckRealTree, DeletingAnyRootAnnotationFails) {
     std::ofstream out(site.file);
     for (const auto& l : lines) out << l << "\n";
   }
+  fs::remove_all(tmp);
+}
+
+
+TEST(RtcheckRealTree, ConvPanelPackerIsInsideTheConvKernelCone) {
+  // conv2d_frame's B-panel packer is called with explicit template
+  // arguments; an allocation seeded into its body, in a scratch copy of
+  // the repo, must be charged to the conv kernel's real-time root.
+  const fs::path tmp = scratch_dir() / "packtree";
+  fs::remove_all(tmp);
+  fs::create_directories(tmp);
+  for (const char* dir : {"src", "bench", "tools"})
+    fs::copy(kRoot / dir, tmp / dir, fs::copy_options::recursive);
+  const fs::path gemm = tmp / "src" / "tensor" / "gemm.cpp";
+  std::string text = read_file(gemm);
+  const auto head = text.find("void pack_conv_panel(");
+  ASSERT_NE(head, std::string::npos) << "pack_conv_panel not found";
+  const auto body = text.find("{\n", head);
+  ASSERT_NE(body, std::string::npos);
+  text.insert(body + 2, "  float* probe = new float[1];\n");
+  write_file(gemm, text);
+
+  const RunResult r =
+      run(real_tree_cmd(tmp, kRoot / "tools" / "rtcheck_roots.txt"));
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("chain: mmhar::conv2d_frame -> "
+                          "mmhar::(anonymous)::pack_conv_panel"),
+            std::string::npos)
+      << r.output;
   fs::remove_all(tmp);
 }
 

@@ -508,4 +508,34 @@ TEST(AnalyzeRealTree, DeletingAnyRegistryRowFails) {
   }
 }
 
+
+TEST(DetcheckRealTree, ConvPanelPackerIsInsideTheConvKernelCone) {
+  // conv2d_frame's B-panel packer is called with explicit template
+  // arguments; a rand() call seeded into its body, in a scratch copy of
+  // the repo, must be reached through conv2d_frame from a determinism
+  // root (infer_forward and Sequential::forward both call it).
+  const fs::path tmp = scratch_dir() / "packtree";
+  fs::remove_all(tmp);
+  fs::create_directories(tmp);
+  for (const char* dir : {"src", "bench", "tools"})
+    fs::copy(kRoot / dir, tmp / dir, fs::copy_options::recursive);
+  const fs::path gemm = tmp / "src" / "tensor" / "gemm.cpp";
+  std::string text = read_file(gemm);
+  const auto head = text.find("void pack_conv_panel(");
+  ASSERT_NE(head, std::string::npos) << "pack_conv_panel not found";
+  const auto body = text.find("{\n", head);
+  ASSERT_NE(body, std::string::npos);
+  text.insert(body + 2, "  const int probe = std::rand();\n");
+  write_file(gemm, text);
+
+  const RunResult r =
+      run(detcheck_tree_cmd(tmp, kRoot / "tools" / "detcheck_roots.txt"));
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("-> mmhar::conv2d_frame -> "
+                          "mmhar::(anonymous)::pack_conv_panel"),
+            std::string::npos)
+      << r.output;
+  fs::remove_all(tmp);
+}
+
 }  // namespace

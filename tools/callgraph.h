@@ -21,7 +21,8 @@
 // within the caller's own file; free calls must match their written
 // qualifier as a component-aligned suffix and prefer same-file candidates
 // (modelling anonymous-namespace lookup); overloads sharing a qualified
-// name share their annotations. All three widen or preserve the checked
+// name share their annotations; explicit template arguments are ignored
+// (`f<8>(x)` is a call to f). All of these widen or preserve the checked
 // set; none invents an escape hatch a suppression comment would not.
 //
 // Header-only and dependency-free on purpose (like analysis_text.h): the
@@ -497,8 +498,10 @@ class ScopeScanner {
   }
 
   void scan_calls(FnRecord& fn, const std::string& line, std::size_t ln) {
+    // `name<args>(` is a call too: blank_template_args has already
+    // emptied the argument list, so skip the bare `< >` before the paren.
     static const std::regex call_re(
-        R"(((?:[A-Za-z_]\w*\s*::\s*)*[A-Za-z_]\w*)\s*\()");
+        R"(((?:[A-Za-z_]\w*\s*::\s*)*[A-Za-z_]\w*)\s*(?:<\s*>\s*)?\()");
     std::string name;  // hoisted per-match scratch
     std::string last;
     for (auto it = std::sregex_iterator(line.begin(), line.end(), call_re);
