@@ -8,8 +8,10 @@
 // the speedup over a retained scalar per-transform reference (the pre-
 // engine implementation). BM_InferForward/{1,8,48} is the serving
 // forward (har::infer_forward, default HarModelConfig) per window at
-// micro-batches of 1, 8 and 48 windows. Numbers are best-of-N wall time
-// on the current MMHAR_THREADS setting.
+// micro-batches of 1, 8 and 48 windows. BM_DetTanh / BM_DetSigmoid are
+// the LSTM gate nonlinearities per element, detmath next to the scalar
+// std:: loop it replaced. Numbers are best-of-N wall time on the current
+// MMHAR_THREADS setting.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -24,6 +26,7 @@
 #include "har/generator.h"
 #include "har/infer.h"
 #include "har/model.h"
+#include "tensor/detmath.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -134,6 +137,22 @@ double infer_seconds_per_window(std::size_t batch) {
   return best_seconds(15, run) / static_cast<double>(batch);
 }
 
+// Best-of-200 wall nanoseconds per element of `fn` over 4096 N(0, 3)
+// gate pre-activations; fn(in, x) transforms x, which starts as a copy of
+// in.
+template <typename Fn>
+double gate_ns_per_elem(Fn&& fn) {
+  Rng rng(13);
+  std::vector<float> in(4096);
+  for (auto& v : in) v = static_cast<float>(3.0 * rng.normal());
+  std::vector<float> x(in.size());
+  const double s = best_seconds(200, [&] {
+    x = in;
+    fn(in, x);
+  });
+  return s * 1e9 / static_cast<double>(in.size());
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -200,6 +219,20 @@ int main(int argc, char** argv) {
   const double infer8_s = infer_seconds_per_window(8);
   const double infer48_s = infer_seconds_per_window(48);
 
+  using Vec = std::vector<float>;
+  const double tanh_ns = gate_ns_per_elem([](const Vec& in, Vec& x) {
+    detmath::tanh_to(in.data(), x.data(), in.size());
+  });
+  const double tanh_std_ns = gate_ns_per_elem([](const Vec& in, Vec& x) {
+    for (std::size_t i = 0; i < in.size(); ++i) x[i] = std::tanh(in[i]);
+  });
+  const double sigmoid_ns = gate_ns_per_elem([](const Vec&, Vec& x) {
+    detmath::sigmoid_inplace(x.data(), x.size());
+  });
+  const double sigmoid_std_ns = gate_ns_per_elem([](const Vec&, Vec& x) {
+    for (float& v : x) v = 1.0F / (1.0F + std::exp(-v));
+  });
+
   std::FILE* f = std::fopen(out_path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", out_path);
@@ -219,21 +252,28 @@ int main(int argc, char** argv) {
                "\"scalar_reference_seconds\": %.6e, \"speedup\": %.2f},\n"
                "  \"BM_InferForward/1\": {\"seconds_per_window\": %.6e},\n"
                "  \"BM_InferForward/8\": {\"seconds_per_window\": %.6e},\n"
-               "  \"BM_InferForward/48\": {\"seconds_per_window\": %.6e}\n"
+               "  \"BM_InferForward/48\": {\"seconds_per_window\": %.6e},\n"
+               "  \"BM_DetTanh\": {\"ns_per_elem\": %.3f, "
+               "\"std_ns_per_elem\": %.3f},\n"
+               "  \"BM_DetSigmoid\": {\"ns_per_elem\": %.3f, "
+               "\"std_ns_per_elem\": %.3f}\n"
                "}\n",
                env_int("MMHAR_THREADS", 0),
                std::thread::hardware_concurrency(), global_pool().size(),
                gemm_s, gflops,
                s_per_antenna, range_fft_s, drai_frame_s, seq_s, seq_scalar_s,
-               seq_speedup, infer1_s, infer8_s, infer48_s);
+               seq_speedup, infer1_s, infer8_s, infer48_s, tanh_ns,
+               tanh_std_ns, sigmoid_ns, sigmoid_std_ns);
   std::fclose(f);
   std::printf(
       "gemm256: %.3f GFLOP/s   if-synthesis: %.6f s/antenna\n"
       "range_fft: %.6f s   drai_frame: %.6f s   drai_seq32: %.6f s "
       "(scalar %.6f s, %.1fx)\n"
       "infer_forward per window: batch 1 %.1f us   batch 8 %.1f us   "
-      "batch 48 %.1f us -> %s\n",
+      "batch 48 %.1f us\n"
+      "tanh %.2f ns/elem (std %.2f)   sigmoid %.2f ns/elem (std %.2f) -> %s\n",
       gflops, s_per_antenna, range_fft_s, drai_frame_s, seq_s, seq_scalar_s,
-      seq_speedup, infer1_s * 1e6, infer8_s * 1e6, infer48_s * 1e6, out_path);
+      seq_speedup, infer1_s * 1e6, infer8_s * 1e6, infer48_s * 1e6, tanh_ns,
+      tanh_std_ns, sigmoid_ns, sigmoid_std_ns, out_path);
   return 0;
 }

@@ -5,11 +5,14 @@
 // figure for this implementation (per virtual antenna, per activity).
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+
 #include "dsp/heatmap.h"
 #include "har/generator.h"
 #include "har/infer.h"
 #include "har/model.h"
 #include "nn/loss.h"
+#include "tensor/detmath.h"
 #include "tensor/gemm.h"
 #include "xai/shapley.h"
 
@@ -225,6 +228,58 @@ void BM_InferForward(benchmark::State& state) {
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_InferForward)->Arg(1)->Arg(8)->Arg(48)->Unit(benchmark::kMicrosecond);
+
+// The LSTM gate nonlinearities over 4096 N(0, 3) pre-activations, per
+// element: arg 0 is detmath, arg 1 the scalar std:: loop it replaced
+// (same bits). bench_json_report records both under the same names.
+std::vector<float> gate_preactivations() {
+  Rng rng(13);
+  std::vector<float> v(4096);
+  for (auto& x : v) x = static_cast<float>(3.0 * rng.normal());
+  return v;
+}
+
+void set_per_element(benchmark::State& state, std::size_t n, bool use_std) {
+  state.SetLabel(use_std ? "std" : "detmath");
+  state.counters["s/elem"] = benchmark::Counter(
+      static_cast<double>(n) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+void BM_DetTanh(benchmark::State& state) {
+  const bool use_std = state.range(0) != 0;
+  const std::vector<float> in = gate_preactivations();
+  std::vector<float> out(in.size());
+  for (auto _ : state) {
+    if (use_std) {
+      for (std::size_t i = 0; i < in.size(); ++i) out[i] = std::tanh(in[i]);
+    } else {
+      detmath::tanh_to(in.data(), out.data(), in.size());
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  set_per_element(state, in.size(), use_std);
+}
+BENCHMARK(BM_DetTanh)->Arg(0)->Arg(1);
+
+void BM_DetSigmoid(benchmark::State& state) {
+  const bool use_std = state.range(0) != 0;
+  const std::vector<float> in = gate_preactivations();
+  std::vector<float> x(in.size());
+  for (auto _ : state) {
+    x = in;
+    if (use_std) {
+      for (float& v : x) v = 1.0F / (1.0F + std::exp(-v));
+    } else {
+      detmath::sigmoid_inplace(x.data(), x.size());
+    }
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+  set_per_element(state, in.size(), use_std);
+}
+BENCHMARK(BM_DetSigmoid)->Arg(0)->Arg(1);
 
 void BM_SamplingShapley(benchmark::State& state) {
   const std::size_t players = 32;

@@ -1,10 +1,10 @@
 #include "har/infer.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "common/check.h"
+#include "nn/lstm.h"
 
 namespace mmhar::har {
 namespace {
@@ -18,9 +18,6 @@ constexpr std::size_t kConv2Kernel = 3;
 constexpr std::size_t kConv2Stride = 2;
 constexpr std::size_t kConv2Pad = 1;
 constexpr std::size_t kPool = 2;
-
-// Same as nn::LSTM's gate nonlinearity (lstm.cpp).
-float sigmoidf(float x) { return 1.0F / (1.0F + std::exp(-x)); }
 
 std::vector<float> copy_bias(const Tensor& t) {
   const std::span<const float> flat = t.flat();
@@ -171,9 +168,9 @@ void forward_rows(const InferencePlan& plan, InferenceScratch& scratch,
     }
   }
 
-  // LSTM over [batch, T, F]; feats is already laid out [b][t][F]. Gate
-  // math mirrors nn::LSTM::forward (in-place cell update reads the
-  // previous value before overwriting it — same arithmetic).
+  // LSTM over [batch, T, F]; feats is already laid out [b][t][F]. The
+  // cell update is nn::LSTM::forward's own (nn::lstm_cell), in place on
+  // the one c buffer.
   float* const x_step = scratch.x_step.data();
   float* const z = scratch.z.data();
   float* const hbuf = scratch.h.data();
@@ -193,18 +190,8 @@ void forward_rows(const InferencePlan& plan, InferenceScratch& scratch,
       for (std::size_t j = 0; j < g4; ++j) zr[j] += lstm_b[j];
     }
     for (std::size_t b = 0; b < batch; ++b) {
-      const float* zr = z + b * g4;
       float* cr = cbuf + b * h_dim;
-      float* hr = hbuf + b * h_dim;
-      for (std::size_t j = 0; j < h_dim; ++j) {
-        const float ig = sigmoidf(zr[j]);
-        const float fg = sigmoidf(zr[h_dim + j]);
-        const float gg = std::tanh(zr[2 * h_dim + j]);
-        const float og = sigmoidf(zr[3 * h_dim + j]);
-        const float cprev = cr[j];
-        cr[j] = fg * cprev + ig * gg;
-        hr[j] = og * std::tanh(cr[j]);
-      }
+      nn::lstm_cell(z + b * g4, cr, cr, hbuf + b * h_dim, h_dim);
     }
   }
 

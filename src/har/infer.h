@@ -20,10 +20,12 @@
 // GEMM sees the same B-panel image, weight tiles and K order as the
 // training model. The feature Dense then runs over every frame of the
 // batch at once, followed by the LSTM and the head — the same GEMM
-// kernels and gate math as nn::Dense and nn::LSTM. No GEMM here has a
-// batch-size-dependent path and every output row's arithmetic is
-// independent of the other rows, so the logits are bit-identical to
-// HarModel::forward(…, training=false) for any micro-batch composition.
+// kernels as nn::Dense and nn::LSTM, and nn::LSTM's own cell update
+// (nn::lstm_cell: one vectorised detmath sigmoid/tanh pass per gate
+// block, then c and h). No kernel here has a batch-size-dependent path
+// and every output row's arithmetic is independent of the other rows, so
+// the logits are bit-identical to HarModel::forward(…, training=false)
+// for any micro-batch composition.
 //
 // Scratch size. With o1 = h1*w1 and o2 = h2*w2 the conv output cells,
 // B1/B2 the conv geometries' bordered_floats() and P1/P2 their

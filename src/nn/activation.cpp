@@ -1,6 +1,6 @@
 #include "nn/activation.h"
 
-#include <cmath>
+#include "tensor/detmath.h"
 
 namespace mmhar::nn {
 
@@ -26,7 +26,7 @@ Tensor ReLU::backward(const Tensor& grad_output) {
 
 Tensor Tanh::forward(const Tensor& input, bool /*training*/) {
   output_ = input;
-  for (auto& v : output_.flat()) v = std::tanh(v);
+  detmath::tanh_inplace(output_.data(), output_.size());
   return output_;
 }
 

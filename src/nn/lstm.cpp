@@ -2,14 +2,25 @@
 
 #include <cmath>
 
+#include "tensor/detmath.h"
 #include "tensor/gemm.h"
 
 namespace mmhar::nn {
-namespace {
 
-float sigmoidf(float x) { return 1.0F / (1.0F + std::exp(-x)); }
-
-}  // namespace
+void lstm_cell(float* z, const float* c_prev, float* c, float* h,
+               std::size_t hidden) {
+  detmath::sigmoid_inplace(z, 2 * hidden);           // i, f
+  detmath::tanh_inplace(z + 2 * hidden, hidden);     // g
+  detmath::sigmoid_inplace(z + 3 * hidden, hidden);  // o
+  const float* ig = z;
+  const float* fg = z + hidden;
+  const float* gg = z + 2 * hidden;
+  const float* og = z + 3 * hidden;
+  for (std::size_t j = 0; j < hidden; ++j)
+    c[j] = fg[j] * c_prev[j] + ig[j] * gg[j];
+  detmath::tanh_to(c, h, hidden);
+  for (std::size_t j = 0; j < hidden; ++j) h[j] *= og[j];
+}
 
 LSTM::LSTM(std::size_t input_dim, std::size_t hidden_dim, Rng& rng,
            bool return_sequence)
@@ -68,29 +79,14 @@ Tensor LSTM::forward(const Tensor& input, bool /*training*/) {
       float* zr = z.data() + b * g4;
       for (std::size_t j = 0; j < g4; ++j) zr[j] += bias_[j];
     }
-    // Nonlinearities and state update.
+    // Nonlinearities (kept in z for backward) and state update.
     Tensor& c = cells_[t];
     Tensor& h = hiddens_[t];
     MMHAR_CHECK(c_prev.size() == batch * h_dim && c.size() == batch * h_dim &&
                 h.size() == batch * h_dim);
-    for (std::size_t b = 0; b < batch; ++b) {
-      float* zr = z.data() + b * g4;
-      const float* cp = c_prev.data() + b * h_dim;
-      float* cr = c.data() + b * h_dim;
-      float* hr = h.data() + b * h_dim;
-      for (std::size_t j = 0; j < h_dim; ++j) {
-        const float ig = sigmoidf(zr[j]);
-        const float fg = sigmoidf(zr[h_dim + j]);
-        const float gg = std::tanh(zr[2 * h_dim + j]);
-        const float og = sigmoidf(zr[3 * h_dim + j]);
-        zr[j] = ig;
-        zr[h_dim + j] = fg;
-        zr[2 * h_dim + j] = gg;
-        zr[3 * h_dim + j] = og;
-        cr[j] = fg * cp[j] + ig * gg;
-        hr[j] = og * std::tanh(cr[j]);
-      }
-    }
+    for (std::size_t b = 0; b < batch; ++b)
+      lstm_cell(z.data() + b * g4, c_prev.data() + b * h_dim,
+                c.data() + b * h_dim, h.data() + b * h_dim, h_dim);
     h_prev = h;
     c_prev = c;
   }
@@ -127,6 +123,7 @@ Tensor LSTM::backward(const Tensor& grad_output) {
   Tensor dz({batch, g4});
   Tensor x_step({batch, input_dim_});
   Tensor dx_step({batch, input_dim_});
+  Tensor tanh_c({batch, h_dim});
 
   for (std::size_t t = steps; t-- > 0;) {
     const Tensor& z = gates_[t];
@@ -135,9 +132,10 @@ Tensor LSTM::backward(const Tensor& grad_output) {
     const Tensor* h_prev = t > 0 ? &hiddens_[t - 1] : nullptr;
 
     MMHAR_CHECK(z.size() == batch * g4 && c.size() == batch * h_dim);
+    detmath::tanh_to(c.data(), tanh_c.data(), batch * h_dim);
     for (std::size_t b = 0; b < batch; ++b) {
       const float* zr = z.data() + b * g4;
-      const float* cr = c.data() + b * h_dim;
+      const float* tcr = tanh_c.data() + b * h_dim;
       float* dhr = dh.data() + b * h_dim;
       float* dcr = dc.data() + b * h_dim;
       float* dzr = dz.data() + b * g4;
@@ -146,7 +144,7 @@ Tensor LSTM::backward(const Tensor& grad_output) {
         const float fg = zr[h_dim + j];
         const float gg = zr[2 * h_dim + j];
         const float og = zr[3 * h_dim + j];
-        const float tc = std::tanh(cr[j]);
+        const float tc = tcr[j];
         const float dh_total = dhr[j] + grad_h_at(t, b, j);
         const float dc_total = dcr[j] + dh_total * og * (1.0F - tc * tc);
         const float cp = c_prev != nullptr ? c_prev->at(b, j) : 0.0F;

@@ -12,6 +12,14 @@
 
 namespace mmhar::nn {
 
+/// One cell update for one batch row, shared by LSTM::forward and the
+/// serving forward (har::infer_forward). `z` holds the row's gate
+/// pre-activations [i | f | g | o], `hidden` each, and is overwritten with
+/// the gate activations; then c = f * c_prev + i * g and h = o * tanh(c).
+/// `c_prev` may be `c` (in-place update); `h` must not overlap `c`.
+void lstm_cell(float* z, const float* c_prev, float* c, float* h,
+               std::size_t hidden);
+
 class LSTM : public Layer {
  public:
   LSTM(std::size_t input_dim, std::size_t hidden_dim, Rng& rng,

@@ -180,12 +180,31 @@ dsp::RadarCube Simulator::synthesize(const std::vector<Scatterer>& scatterers,
   for (std::size_t k = 0; k < k_n; ++k)
     antennas[k] = config_.antenna_position(k);
 
+  // Antenna-invariant per-scatterer terms, once per frame: the TX leg and
+  // the per-chirp Doppler rotation from the radial velocity (two-way
+  // path). A scatterer at the radar origin contributes nothing.
+  struct TxTerms {
+    const Scatterer* s;
+    double d_tx;
+    std::complex<double> rot_q;
+  };
+  std::vector<TxTerms> tx;
+  tx.reserve(scatterers.size());
+  for (const auto& s : scatterers) {
+    const double d_tx = mesh::norm(s.position);
+    if (d_tx < 1e-6) continue;
+    const double dphi_q = -2.0 * kPi * f_c *
+                          (2.0 * s.radial_velocity * tc) /
+                          kSpeedOfLight;
+    tx.push_back({&s, d_tx, {std::cos(dphi_q), std::sin(dphi_q)}});
+  }
+
   // Structure-of-arrays kernel, parallel over antennas so even a single
   // frame (the shape the Eq. 2 candidate-position search issues) uses the
   // whole pool. One task owns a contiguous antenna range and accumulates
   // all scatterers in their given order, so the per-element reduction
   // order — and therefore the output — is identical for any MMHAR_THREADS.
-  if (!scatterers.empty()) {
+  if (!tx.empty()) {
     global_pool().parallel_for_chunked(0, k_n, [&](std::size_t klo,
                                                    std::size_t khi) {
       // Split real/imag accumulation planes for this antenna's chirps,
@@ -195,21 +214,19 @@ dsp::RadarCube Simulator::synthesize(const std::vector<Scatterer>& scatterers,
       std::vector<float> im(q_n * n_n);
       std::vector<float> tab_re(n_n);
       std::vector<float> tab_im(n_n);
+      MMHAR_REQUIRE(re.size() == q_n * n_n && im.size() == q_n * n_n &&
+                        tab_re.size() == n_n,
+                    "IF plane size mismatch");
+      float* const re_plane = re.data();
+      float* const im_plane = im.data();
       for (std::size_t k = klo; k < khi; ++k) {
         std::fill(re.begin(), re.end(), 0.0F);
         std::fill(im.begin(), im.end(), 0.0F);
-        for (const auto& s : scatterers) {
-          const double d_tx = mesh::norm(s.position);
-          if (d_tx < 1e-6) continue;
-          // Per-chirp Doppler rotation from the radial velocity (two-way
-          // path).
-          const double dphi_q = -2.0 * kPi * f_c *
-                                (2.0 * s.radial_velocity * tc) /
-                                kSpeedOfLight;
-          const double d_rx = mesh::distance(s.position, antennas[k]);
-          const double path = d_tx + d_rx;
+        for (const TxTerms& term : tx) {
           // Carrier phase (angle information) and beat step (range
-          // information).
+          // information) over the TX + RX path.
+          const double path =
+              term.d_tx + mesh::distance(term.s->position, antennas[k]);
           const double phi0 = -2.0 * kPi * f_c * path / kSpeedOfLight;
           const double dphi_n = 2.0 * kPi * slope * path / kSpeedOfLight * ts;
           fill_phasor_table(n_n, dphi_n, tab_re.data(), tab_im.data());
@@ -218,31 +235,24 @@ dsp::RadarCube Simulator::synthesize(const std::vector<Scatterer>& scatterers,
           // any chirp count); each chirp row is then a rank-1 complex
           // update row[n] += base_q * tab[n] with no loop-carried
           // dependency.
-          const std::complex<double> rot_q(std::cos(dphi_q),
-                                           std::sin(dphi_q));
-          std::complex<double> base =
-              std::polar(s.amplitude, phi0);
-          MMHAR_REQUIRE(re.size() == q_n * n_n && tab_re.size() == n_n,
-                        "IF plane size mismatch before accumulation");
+          std::complex<double> base = std::polar(term.s->amplitude, phi0);
           for (std::size_t q = 0; q < q_n; ++q) {
             const float br = static_cast<float>(base.real());
             const float bi = static_cast<float>(base.imag());
-            float* row_re = re.data() + q * n_n;
-            float* row_im = im.data() + q * n_n;
+            float* row_re = re_plane + q * n_n;
+            float* row_im = im_plane + q * n_n;
             for (std::size_t n = 0; n < n_n; ++n) {
               row_re[n] += br * tab_re[n] - bi * tab_im[n];
               row_im[n] += br * tab_im[n] + bi * tab_re[n];
             }
-            base *= rot_q;
+            base *= term.rot_q;
           }
         }
         // Interleave the planes back into the cube, one write per row.
-        MMHAR_REQUIRE(re.size() == q_n * n_n && im.size() == q_n * n_n,
-                      "IF plane size mismatch before interleave");
         for (std::size_t q = 0; q < q_n; ++q) {
           dsp::cfloat* row = cube.row(q, k);
-          const float* row_re = re.data() + q * n_n;
-          const float* row_im = im.data() + q * n_n;
+          const float* row_re = re_plane + q * n_n;
+          const float* row_im = im_plane + q * n_n;
           for (std::size_t n = 0; n < n_n; ++n)
             row[n] = dsp::cfloat(row_re[n], row_im[n]);
         }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "tensor/detmath.h"
+
 namespace mmhar {
 
 Tensor softmax_rows(const Tensor& logits) {
@@ -39,13 +41,13 @@ Tensor relu(const Tensor& x) {
 
 Tensor tanh_elem(const Tensor& x) {
   Tensor out = x;
-  for (auto& v : out.flat()) v = std::tanh(v);
+  detmath::tanh_inplace(out.data(), out.size());
   return out;
 }
 
 Tensor sigmoid(const Tensor& x) {
   Tensor out = x;
-  for (auto& v : out.flat()) v = 1.0F / (1.0F + std::exp(-v));
+  detmath::sigmoid_inplace(out.data(), out.size());
   return out;
 }
 

@@ -1,151 +1,15 @@
-// Tests for the DSP extras: CA-CFAR detection + NMS and the
-// micro-Doppler spectrogram, including an end-to-end check that CFAR
-// finds the physical trigger blob in simulated DRAI heatmaps.
+// Tests for the DSP extras: the micro-Doppler spectrum, spectrogram and
+// centroid track, including an end-to-end check on simulated gestures.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "dsp/cfar.h"
 #include "dsp/microdoppler.h"
 #include "har/generator.h"
-#include "mesh/human.h"
 #include "radar/simulator.h"
 
 namespace mmhar::dsp {
 namespace {
-
-Tensor noise_map(std::size_t rows, std::size_t cols, Rng& rng,
-                 float level = 0.05F) {
-  return Tensor::rand_uniform({rows, cols}, rng, 0.0F, level);
-}
-
-TEST(Cfar, FindsIsolatedPeak) {
-  Rng rng(1);
-  Tensor map = noise_map(32, 32, rng);
-  map.at(12, 20) = 1.0F;
-  CfarConfig cfg;
-  const auto detections = cfar_detect(map, cfg);
-  ASSERT_FALSE(detections.empty());
-  bool found = false;
-  for (const auto& d : detections)
-    if (d.row == 12 && d.col == 20) found = true;
-  EXPECT_TRUE(found);
-  // SNR of the peak detection is large.
-  for (const auto& d : detections) {
-    if (d.row == 12 && d.col == 20) {
-      EXPECT_GT(d.snr(), 5.0F);
-    }
-  }
-}
-
-TEST(Cfar, NoDetectionsOnFlatMap) {
-  Tensor flat = Tensor::full({16, 16}, 0.5F);
-  CfarConfig cfg;
-  EXPECT_TRUE(cfar_detect(flat, cfg).empty());
-}
-
-TEST(Cfar, ThresholdFactorControlsSensitivity) {
-  Rng rng(2);
-  Tensor map = noise_map(32, 32, rng, 0.2F);
-  map.at(10, 10) = 0.9F;  // modest peak
-  CfarConfig loose;
-  loose.threshold_factor = 2.0F;
-  CfarConfig strict;
-  strict.threshold_factor = 20.0F;
-  EXPECT_GE(cfar_detect(map, loose).size(),
-            cfar_detect(map, strict).size());
-  EXPECT_TRUE(cfar_detect(map, strict).empty());
-}
-
-TEST(Cfar, BorderPolicy) {
-  Rng rng(3);
-  Tensor map = noise_map(16, 16, rng);
-  map.at(0, 0) = 1.0F;  // corner peak
-  CfarConfig clip;
-  clip.clip_borders = true;
-  bool corner_found = false;
-  for (const auto& d : cfar_detect(map, clip))
-    if (d.row == 0 && d.col == 0) corner_found = true;
-  EXPECT_TRUE(corner_found);
-  CfarConfig skip;
-  skip.clip_borders = false;
-  for (const auto& d : cfar_detect(map, skip)) {
-    EXPECT_GE(d.row, skip.guard_cells + skip.training_cells);
-    EXPECT_GE(d.col, skip.guard_cells + skip.training_cells);
-  }
-}
-
-TEST(Cfar, NonMaxSuppressionKeepsStrongest) {
-  std::vector<Detection> dets{
-      {10, 10, 1.0F, 0.1F}, {11, 10, 0.8F, 0.1F},  // same cluster
-      {20, 20, 0.5F, 0.1F},                        // separate
-  };
-  const auto kept = non_max_suppress(dets, 2);
-  ASSERT_EQ(kept.size(), 2u);
-  EXPECT_FLOAT_EQ(kept[0].value, 1.0F);
-  EXPECT_FLOAT_EQ(kept[1].value, 0.5F);
-}
-
-TEST(Cfar, DetectPeaksCapsCount) {
-  Rng rng(4);
-  Tensor map = noise_map(32, 32, rng);
-  map.at(5, 5) = 1.0F;
-  map.at(20, 25) = 0.9F;
-  map.at(28, 8) = 0.8F;
-  CfarConfig cfg;
-  const auto peaks = detect_peaks(map, cfg, 2);
-  ASSERT_EQ(peaks.size(), 2u);
-  EXPECT_GE(peaks[0].value, peaks[1].value);
-}
-
-TEST(Cfar, ValidatesInput) {
-  Tensor cube({2, 3, 4});
-  EXPECT_THROW(cfar_detect(cube, CfarConfig{}), InvalidArgument);
-  Tensor map({8, 8});
-  CfarConfig bad;
-  bad.training_cells = 0;
-  EXPECT_THROW(cfar_detect(map, bad), InvalidArgument);
-}
-
-TEST(Cfar, FindsTriggerBlobInSimulatedDrai) {
-  // The trigger-detection defense premise: a reflector produces a CFAR-
-  // detectable blob near the torso range that is absent from clean data.
-  har::GeneratorConfig gc;
-  gc.num_frames = 4;
-  gc.radar.num_chirps = 8;
-  gc.radar.num_virtual_antennas = 16;
-  gc.environment = radar::EnvironmentKind::None;
-  const har::SampleGenerator gen(gc);
-  har::SampleSpec spec;
-  spec.distance_m = 1.2;
-
-  const mesh::HumanBody body(mesh::BodyParams::participant(0));
-  har::TriggerPlacement tp;
-  tp.local_position = body.anchor_position(mesh::BodyAnchor::Chest);
-
-  const Tensor clean = gen.generate(spec);
-  const Tensor triggered = gen.generate(spec, &tp);
-
-  const auto count_near_torso = [&](const Tensor& seq) {
-    std::size_t hits = 0;
-    const std::size_t hw = 32 * 32;
-    CfarConfig cfg;
-    cfg.threshold_factor = 6.0F;
-    for (std::size_t f = 0; f < seq.dim(0); ++f) {
-      Tensor frame({32, 32});
-      std::copy(seq.data() + f * hw, seq.data() + (f + 1) * hw,
-                frame.data());
-      for (const auto& d : detect_peaks(frame, cfg, 4)) {
-        // Torso range bin ~ (1.2 - 0.14) / 0.075 ~ 14.
-        if (d.row >= 11 && d.row <= 17) ++hits;
-      }
-    }
-    return hits;
-  };
-  EXPECT_GT(count_near_torso(triggered), count_near_torso(clean));
-}
-
-// ---- micro-Doppler ----
 
 RadarCube doppler_cube(double cycles_per_chirp, std::size_t chirps = 16) {
   RadarCube cube(chirps, 2, 64);

@@ -1,18 +1,28 @@
-// Tests for the packed GEMM microkernel, the packed conv kernel and the SoA
-// IF-synthesis kernel: property tests against a naive reference, bit-exact
-// determinism across thread-pool sizes, nested-parallelism safety, and the
+// Tests for the packed GEMM microkernel, the packed conv kernel, the SoA
+// IF-synthesis kernel and the detmath gate nonlinearities: property tests
+// against a naive reference, bitwise sweeps against libm and against the
+// scalar std:: LSTM gate loop detmath replaced, bit-exact determinism
+// across thread-pool sizes, nested-parallelism safety, and the
 // single-frame sequence edge case.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "mesh/primitives.h"
+#include "nn/lstm.h"
 #include "radar/simulator.h"
+#include "tensor/detmath.h"
 #include "tensor/gemm.h"
 
 namespace mmhar {
@@ -338,6 +348,320 @@ TEST(SimulateSequence, SingleFrameSequenceMatchesStaticSynthesis) {
   const auto expected =
       sim.synthesize(sim.extract_scatterers(plate, nullptr, 0.0));
   EXPECT_EQ(cubes[0].raw(), expected.raw());
+}
+
+// ---- detmath: tanh and sigmoid, bitwise ----
+
+// detmath reproduces glibc's fdlibm tanhf and the FMA variant of its
+// expf. libm runs exactly those on x86-64 glibc before 2.41 (2.41 ships
+// a correctly rounded tanhf) with a CPU that has FMA; elsewhere detmath
+// keeps its bits but libm is no longer the reference.
+bool libm_is_reference() {
+#if defined(__x86_64__) && defined(__GLIBC__)
+  return (__GLIBC__ == 2 && __GLIBC_MINOR__ < 41) &&
+         __builtin_cpu_supports("fma");
+#else
+  return false;
+#endif
+}
+
+#define SKIP_UNLESS_LIBM_IS_REFERENCE()                                   \
+  if (!libm_is_reference())                                               \
+  GTEST_SKIP() << "libm here is not glibc's fdlibm tanhf / FMA expf"
+
+float libm_sigmoid(float x) { return 1.0F / (1.0F + std::exp(-x)); }
+
+// Same bits, with every NaN equal to every other.
+bool same_bits(float a, float b) {
+  return (std::isnan(a) && std::isnan(b)) ||
+         std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b);
+}
+
+// Compare detmath with libm over bit patterns lo, lo+step, ... < hi in
+// blocks, through all three kernels; returns the number of mismatches and
+// reports the first few.
+std::uint64_t sweep_against_libm(std::uint64_t lo, std::uint64_t hi,
+                                 std::uint64_t step) {
+  constexpr std::size_t kBlock = 4096;
+  std::vector<float> in(kBlock), t_to(kBlock), t_in(kBlock), sg(kBlock);
+  std::uint64_t bad = 0;
+  for (std::uint64_t base = lo; base < hi; base += kBlock * step) {
+    std::size_t n = 0;
+    for (; n < kBlock && base + n * step < hi; ++n)
+      in[n] = std::bit_cast<float>(static_cast<std::uint32_t>(base + n * step));
+    detmath::tanh_to(in.data(), t_to.data(), n);
+    std::copy(in.begin(), in.begin() + static_cast<std::ptrdiff_t>(n),
+              t_in.begin());
+    detmath::tanh_inplace(t_in.data(), n);
+    std::copy(in.begin(), in.begin() + static_cast<std::ptrdiff_t>(n),
+              sg.begin());
+    detmath::sigmoid_inplace(sg.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const float want_t = std::tanh(in[i]);
+      const float want_s = libm_sigmoid(in[i]);
+      if (same_bits(t_to[i], want_t) && same_bits(t_in[i], want_t) &&
+          same_bits(sg[i], want_s))
+        continue;
+      if (++bad <= 5)
+        ADD_FAILURE() << "x = " << std::hexfloat << in[i] << ": tanh "
+                      << t_to[i] << " / " << t_in[i] << " vs " << want_t
+                      << ", sigmoid " << sg[i] << " vs " << want_s;
+    }
+  }
+  return bad;
+}
+
+TEST(DetMath, MatchesLibmOnStridedSweep) {
+  SKIP_UNLESS_LIBM_IS_REFERENCE();
+  // Every 61st bit pattern: all exponents, both signs, NaN payloads.
+  EXPECT_EQ(sweep_against_libm(0, std::uint64_t{1} << 32, 61), 0u);
+}
+
+TEST(DetMath, MatchesLibmAtBranchConstants) {
+  SKIP_UNLESS_LIBM_IS_REFERENCE();
+  // The thresholds where tanhf, expm1f (at 2|x|) and expf change path.
+  const float ln2 = 0x1.62e43p-1F;
+  const float constants[] = {
+      0.0F,          FLT_TRUE_MIN,   0x1.fffffcp-127F, FLT_MIN,
+      0x1p-55F,      0x1p-26F,       0x1p-25F,         0.5F * ln2,
+      1.5F * ln2,    1.0F,           22.0F,            27.0F * ln2,
+      88.0F,         0x1.62e42ep6F,  0x1.9d1d9ep6F,    0x1.9fe368p6F,
+      FLT_MAX,       HUGE_VALF,      std::numeric_limits<float>::quiet_NaN(),
+  };
+  std::vector<float> xs;
+  for (const float c : constants) {
+    for (const float v : {c, 0.5F * c, 2.0F * c}) {
+      for (const float s : {v, -v}) {
+        xs.push_back(s);
+        xs.push_back(std::nextafter(s, HUGE_VALF));
+        xs.push_back(std::nextafter(s, -HUGE_VALF));
+      }
+    }
+  }
+  std::vector<float> t(xs.size()), sg = xs;
+  detmath::tanh_to(xs.data(), t.data(), xs.size());
+  detmath::sigmoid_inplace(sg.data(), sg.size());
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    EXPECT_TRUE(same_bits(t[i], std::tanh(xs[i])))
+        << "tanh(" << std::hexfloat << xs[i] << ") = " << t[i] << ", libm "
+        << std::tanh(xs[i]);
+    EXPECT_TRUE(same_bits(sg[i], libm_sigmoid(xs[i])))
+        << "sigmoid(" << std::hexfloat << xs[i] << ") = " << sg[i]
+        << ", libm " << libm_sigmoid(xs[i]);
+  }
+}
+
+TEST(DetMath, VectorBodyAndRemainderAgree) {
+  // Each length 1..67 at a few start offsets puts a given element in the
+  // vector body, the peeled head or the scalar tail; it must come out the
+  // same everywhere (and as libm gives it, where libm is the reference).
+  Rng rng(61);
+  std::vector<float> src(80);
+  for (auto& v : src) v = static_cast<float>(rng.normal() * 8.0);
+  std::vector<float> one_t(src.size()), one_s(src.size());
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    detmath::tanh_to(&src[i], &one_t[i], 1);
+    one_s[i] = src[i];
+    detmath::sigmoid_inplace(&one_s[i], 1);
+    if (libm_is_reference()) {
+      ASSERT_TRUE(same_bits(one_t[i], std::tanh(src[i])));
+      ASSERT_TRUE(same_bits(one_s[i], libm_sigmoid(src[i])));
+    }
+  }
+  for (std::size_t off = 0; off < 4; ++off) {
+    for (std::size_t n = 1; n <= 67; ++n) {
+      std::vector<float> t_to(n), t_in(src.begin() + off,
+                                       src.begin() + off + n),
+          sg = t_in;
+      detmath::tanh_to(src.data() + off, t_to.data(), n);
+      detmath::tanh_inplace(t_in.data(), n);
+      detmath::sigmoid_inplace(sg.data(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_TRUE(same_bits(t_to[i], one_t[off + i])) << off << " " << n;
+        ASSERT_TRUE(same_bits(t_in[i], one_t[off + i])) << off << " " << n;
+        ASSERT_TRUE(same_bits(sg[i], one_s[off + i])) << off << " " << n;
+      }
+    }
+  }
+}
+
+// nn::LSTM as it stood before detmath: the scalar gate loop over
+// std::exp / std::tanh, with the same GEMMs in the same order. The layer
+// must reproduce it to the bit, forward and backward.
+struct ReferenceLstm {
+  static float sigmoidf(float x) { return 1.0F / (1.0F + std::exp(-x)); }
+
+  ReferenceLstm(nn::LSTM& layer, bool return_sequence)
+      : w_x(*layer.parameters()[0]),
+        w_h(*layer.parameters()[1]),
+        bias(*layer.parameters()[2]),
+        return_sequence(return_sequence) {}
+
+  Tensor forward(const Tensor& in) {
+    input = in;
+    const std::size_t batch = in.dim(0), steps = in.dim(1), d = in.dim(2);
+    const std::size_t h_dim = w_h.dim(1), g4 = 4 * h_dim;
+    gates.assign(steps, Tensor({batch, g4}));
+    cells.assign(steps, Tensor({batch, h_dim}));
+    hiddens.assign(steps, Tensor({batch, h_dim}));
+    Tensor h_prev({batch, h_dim});
+    Tensor c_prev({batch, h_dim});
+    for (std::size_t t = 0; t < steps; ++t) {
+      Tensor& z = gates[t];
+      Tensor x_step({batch, d});
+      for (std::size_t b = 0; b < batch; ++b)
+        std::copy_n(in.data() + (b * steps + t) * d, d,
+                    x_step.data() + b * d);
+      sgemm_bt(batch, d, g4, 1.0F, x_step.data(), w_x.data(), 0.0F,
+               z.data());
+      sgemm_bt(batch, h_dim, g4, 1.0F, h_prev.data(), w_h.data(), 1.0F,
+               z.data());
+      for (std::size_t b = 0; b < batch; ++b)
+        for (std::size_t j = 0; j < g4; ++j) z.data()[b * g4 + j] += bias[j];
+      for (std::size_t b = 0; b < batch; ++b) {
+        float* zr = z.data() + b * g4;
+        const float* cp = c_prev.data() + b * h_dim;
+        float* cr = cells[t].data() + b * h_dim;
+        float* hr = hiddens[t].data() + b * h_dim;
+        for (std::size_t j = 0; j < h_dim; ++j) {
+          const float ig = sigmoidf(zr[j]);
+          const float fg = sigmoidf(zr[h_dim + j]);
+          const float gg = std::tanh(zr[2 * h_dim + j]);
+          const float og = sigmoidf(zr[3 * h_dim + j]);
+          zr[j] = ig;
+          zr[h_dim + j] = fg;
+          zr[2 * h_dim + j] = gg;
+          zr[3 * h_dim + j] = og;
+          cr[j] = fg * cp[j] + ig * gg;
+          hr[j] = og * std::tanh(cr[j]);
+        }
+      }
+      h_prev = hiddens[t];
+      c_prev = cells[t];
+    }
+    if (!return_sequence) return hiddens.back();
+    Tensor out({batch, steps, h_dim});
+    for (std::size_t t = 0; t < steps; ++t)
+      for (std::size_t b = 0; b < batch; ++b)
+        std::copy_n(hiddens[t].data() + b * h_dim, h_dim,
+                    out.data() + (b * steps + t) * h_dim);
+    return out;
+  }
+
+  Tensor backward(const Tensor& grad_output) {
+    const std::size_t batch = input.dim(0), steps = input.dim(1),
+                      d = input.dim(2);
+    const std::size_t h_dim = w_h.dim(1), g4 = 4 * h_dim;
+    grad_w_x = Tensor(w_x.shape());
+    grad_w_h = Tensor(w_h.shape());
+    grad_bias = Tensor(bias.shape());
+    Tensor grad_input({batch, steps, d});
+    Tensor dh({batch, h_dim}), dc({batch, h_dim}), dz({batch, g4});
+    Tensor x_step({batch, d}), dx_step({batch, d});
+    for (std::size_t t = steps; t-- > 0;) {
+      for (std::size_t b = 0; b < batch; ++b) {
+        const float* zr = gates[t].data() + b * g4;
+        const float* cr = cells[t].data() + b * h_dim;
+        float* dhr = dh.data() + b * h_dim;
+        float* dcr = dc.data() + b * h_dim;
+        float* dzr = dz.data() + b * g4;
+        for (std::size_t j = 0; j < h_dim; ++j) {
+          const float ig = zr[j];
+          const float fg = zr[h_dim + j];
+          const float gg = zr[2 * h_dim + j];
+          const float og = zr[3 * h_dim + j];
+          const float tc = std::tanh(cr[j]);
+          const float seed =
+              return_sequence ? grad_output[(b * steps + t) * h_dim + j]
+              : t == steps - 1 ? grad_output[b * h_dim + j]
+                               : 0.0F;
+          const float dh_total = dhr[j] + seed;
+          const float dc_total = dcr[j] + dh_total * og * (1.0F - tc * tc);
+          const float cp = t > 0 ? cells[t - 1].at(b, j) : 0.0F;
+          dzr[j] = dc_total * gg * ig * (1.0F - ig);
+          dzr[h_dim + j] = dc_total * cp * fg * (1.0F - fg);
+          dzr[2 * h_dim + j] = dc_total * ig * (1.0F - gg * gg);
+          dzr[3 * h_dim + j] = dh_total * tc * og * (1.0F - og);
+          dcr[j] = dc_total * fg;
+        }
+      }
+      for (std::size_t b = 0; b < batch; ++b)
+        std::copy_n(input.data() + (b * steps + t) * d, d,
+                    x_step.data() + b * d);
+      sgemm_at(g4, batch, d, 1.0F, dz.data(), x_step.data(), 1.0F,
+               grad_w_x.data());
+      if (t > 0)
+        sgemm_at(g4, batch, h_dim, 1.0F, dz.data(), hiddens[t - 1].data(),
+                 1.0F, grad_w_h.data());
+      for (std::size_t b = 0; b < batch; ++b)
+        for (std::size_t j = 0; j < g4; ++j)
+          grad_bias[j] += dz.data()[b * g4 + j];
+      sgemm(batch, g4, d, 1.0F, dz.data(), w_x.data(), 0.0F, dx_step.data());
+      for (std::size_t b = 0; b < batch; ++b)
+        std::copy_n(dx_step.data() + b * d, d,
+                    grad_input.data() + (b * steps + t) * d);
+      if (t > 0)
+        sgemm(batch, g4, h_dim, 1.0F, dz.data(), w_h.data(), 0.0F, dh.data());
+    }
+    return grad_input;
+  }
+
+  Tensor w_x, w_h, bias;
+  bool return_sequence;
+  Tensor input;
+  std::vector<Tensor> gates, cells, hiddens;
+  Tensor grad_w_x, grad_w_h, grad_bias;
+};
+
+bool same_tensor(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(DetMath, LstmMatchesScalarStdGateLoopBitwise) {
+  SKIP_UNLESS_LIBM_IS_REFERENCE();
+  constexpr std::size_t kInput = 20, kSteps = 6;
+  for (const std::size_t h : {48, 64, 13}) {
+    for (const std::size_t batch : {1, 3, 8}) {
+      for (const bool seq : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "H " << h << " batch " << batch
+                                          << " sequence " << seq);
+        Rng rng(1000 * h + 10 * batch + (seq ? 1 : 0));
+        nn::LSTM lstm(kInput, h, rng, seq);
+        ReferenceLstm ref(lstm, seq);
+        // Wide inputs push gate pre-activations into every expm1f/expf
+        // range, saturation included.
+        const Tensor in = Tensor::randn({batch, kSteps, kInput}, rng, 0.0F,
+                                        3.0F);
+        const Tensor out = lstm.forward(in, true);
+        ASSERT_TRUE(same_tensor(out, ref.forward(in)));
+        const Tensor g = Tensor::randn(out.shape(), rng);
+        const Tensor gin = lstm.backward(g);
+        EXPECT_TRUE(same_tensor(gin, ref.backward(g)));
+        const std::vector<Tensor*> grads = lstm.gradients();
+        EXPECT_TRUE(same_tensor(*grads[0], ref.grad_w_x));
+        EXPECT_TRUE(same_tensor(*grads[1], ref.grad_w_h));
+        EXPECT_TRUE(same_tensor(*grads[2], ref.grad_bias));
+      }
+    }
+  }
+}
+
+// The full 2^32 sweep, ~20 s on 4 threads; run with
+// --gtest_also_run_disabled_tests (the CI Release leg does).
+TEST(DetMath, DISABLED_ExhaustiveAllFloats) {
+  SKIP_UNLESS_LIBM_IS_REFERENCE();
+  constexpr std::uint64_t kAll = std::uint64_t{1} << 32;
+  constexpr std::uint64_t kParts = 4;
+  std::atomic<std::uint64_t> bad{0};
+  std::vector<std::thread> workers;
+  for (std::uint64_t p = 0; p < kParts; ++p)
+    workers.emplace_back([&, p] {
+      bad += sweep_against_libm(p * kAll / kParts, (p + 1) * kAll / kParts,
+                                1);
+    });
+  for (auto& w : workers) w.join();
+  EXPECT_EQ(bad.load(), 0u);
 }
 
 }  // namespace

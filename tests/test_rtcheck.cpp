@@ -346,4 +346,33 @@ TEST(RtcheckRealTree, ConvPanelPackerIsInsideTheConvKernelCone) {
   fs::remove_all(tmp);
 }
 
+TEST(RtcheckRealTree, DetmathKernelsAreInsideTheInferenceCone) {
+  // The LSTM gate nonlinearities run on the serving path through the
+  // shared cell update; an allocation seeded into one of them, in a
+  // scratch copy of the repo, must be charged to infer_forward.
+  const fs::path tmp = scratch_dir() / "detmathtree";
+  fs::remove_all(tmp);
+  fs::create_directories(tmp);
+  for (const char* dir : {"src", "bench", "tools"})
+    fs::copy(kRoot / dir, tmp / dir, fs::copy_options::recursive);
+  const fs::path detmath = tmp / "src" / "tensor" / "detmath.cpp";
+  std::string text = read_file(detmath);
+  const auto head = text.find("void tanh_to(");
+  ASSERT_NE(head, std::string::npos) << "tanh_to not found";
+  const auto body = text.find("{\n", head);
+  ASSERT_NE(body, std::string::npos);
+  text.insert(body + 2, "  float* probe = new float[1];\n");
+  write_file(detmath, text);
+
+  const RunResult r =
+      run(real_tree_cmd(tmp, kRoot / "tools" / "rtcheck_roots.txt"));
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("chain: mmhar::har::infer_forward -> "
+                          "mmhar::har::(anonymous)::forward_rows -> "
+                          "mmhar::nn::lstm_cell -> mmhar::detmath::tanh_to"),
+            std::string::npos)
+      << r.output;
+  fs::remove_all(tmp);
+}
+
 }  // namespace
