@@ -1,6 +1,7 @@
 #include "core/backdoor_attack.h"
 
 #include <cmath>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -53,10 +54,10 @@ BackdoorPlan BackdoorAttack::plan(const har::Dataset& clean_train) {
 
   TriggerPositionOptimizer optimizer(generator_, surrogate_,
                                      config_.objective);
-  plan.anchor_ranking = optimizer.evaluate_anchors(
-      config_.reference_spec, config_.trigger, plan.frames);
-  plan.per_frame_optima = optimizer.per_frame_optima(
-      config_.reference_spec, config_.trigger, plan.frames);
+  auto search =
+      optimizer.search(config_.reference_spec, config_.trigger, plan.frames);
+  plan.anchor_ranking = std::move(search.ranking);
+  plan.per_frame_optima = std::move(search.optima);
 
   // SHAP weights for the chosen frames (Eq. 4); fall back to uniform
   // weights if all SHAP mass is elsewhere.

@@ -83,7 +83,12 @@ TriggerPositionOptimizer::evaluate_all(const har::SampleSpec& spec,
 std::vector<PositionCandidate> TriggerPositionOptimizer::evaluate_anchors(
     const har::SampleSpec& spec, const mesh::TriggerSpec& trigger,
     const std::vector<std::size_t>& frames_of_interest) const {
-  const auto evals = evaluate_all(spec, trigger);
+  return rank(evaluate_all(spec, trigger), frames_of_interest);
+}
+
+std::vector<PositionCandidate> TriggerPositionOptimizer::rank(
+    const std::vector<AnchorEvaluation>& evals,
+    const std::vector<std::size_t>& frames_of_interest) const {
   const std::size_t frames = surrogate_.config().frames;
 
   std::vector<std::size_t> scored = frames_of_interest;
@@ -135,7 +140,20 @@ std::vector<mesh::Vec3> TriggerPositionOptimizer::per_frame_optima(
     const har::SampleSpec& spec, const mesh::TriggerSpec& trigger,
     const std::vector<std::size_t>& frames) const {
   MMHAR_REQUIRE(!frames.empty(), "need at least one frame");
+  return optima(evaluate_all(spec, trigger), frames);
+}
+
+TriggerPositionOptimizer::Search TriggerPositionOptimizer::search(
+    const har::SampleSpec& spec, const mesh::TriggerSpec& trigger,
+    const std::vector<std::size_t>& frames) const {
+  MMHAR_REQUIRE(!frames.empty(), "need at least one frame");
   const auto evals = evaluate_all(spec, trigger);
+  return {rank(evals, frames), optima(evals, frames)};
+}
+
+std::vector<mesh::Vec3> TriggerPositionOptimizer::optima(
+    const std::vector<AnchorEvaluation>& evals,
+    const std::vector<std::size_t>& frames) const {
   MMHAR_CHECK(!evals.empty());
 
   std::vector<mesh::Vec3> optima;

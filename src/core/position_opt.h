@@ -64,6 +64,15 @@ class TriggerPositionOptimizer {
       const har::SampleSpec& spec, const mesh::TriggerSpec& trigger,
       const std::vector<std::size_t>& frames) const;
 
+  /// Both of the above for the same non-empty `frames`, from one
+  /// simulation of the clean reference and the anchors.
+  struct Search {
+    std::vector<PositionCandidate> ranking;  ///< evaluate_anchors
+    std::vector<mesh::Vec3> optima;          ///< per_frame_optima
+  };
+  Search search(const har::SampleSpec& spec, const mesh::TriggerSpec& trigger,
+                const std::vector<std::size_t>& frames) const;
+
  private:
   struct AnchorEvaluation {
     mesh::BodyAnchor anchor;
@@ -75,6 +84,11 @@ class TriggerPositionOptimizer {
 
   std::vector<AnchorEvaluation> evaluate_all(
       const har::SampleSpec& spec, const mesh::TriggerSpec& trigger) const;
+  std::vector<PositionCandidate> rank(
+      const std::vector<AnchorEvaluation>& evals,
+      const std::vector<std::size_t>& frames_of_interest) const;
+  std::vector<mesh::Vec3> optima(const std::vector<AnchorEvaluation>& evals,
+                                 const std::vector<std::size_t>& frames) const;
 
   const har::SampleGenerator& generator_;
   har::HarModel& surrogate_;

@@ -58,22 +58,39 @@ Tensor LSTM::forward(const Tensor& input, bool /*training*/) {
 
   Tensor h_prev({batch, h_dim});
   Tensor c_prev({batch, h_dim});
+  Tensor x_step({batch, input_dim_});
   MMHAR_CHECK(input.size() == batch * steps * input_dim_);
+
+  // Pack W_x and W_h once for all steps when they fit a packed operand;
+  // sgemm_packed_b gives sgemm_bt's bits without re-packing per step.
+  const bool packed = input_dim_ <= kPackedBMaxK && h_dim <= kPackedBMaxK &&
+                      g4 <= kPackedBMaxN;
+  PackedB w_x_packed;
+  PackedB w_h_packed;
+  if (packed) {
+    w_x_packed = pack_bt(input_dim_, g4, w_x_.data());
+    w_h_packed = pack_bt(h_dim, g4, w_h_.data());
+  }
 
   for (std::size_t t = 0; t < steps; ++t) {
     Tensor& z = gates_[t];
     // z = x_t W_x^T + h_{t-1} W_h^T + b
+    MMHAR_CHECK(x_step.size() == batch * input_dim_);
     const float* x_t = input.data() + t * input_dim_;
     // Gather x_t rows (strided by T*D per batch element) into a buffer.
-    Tensor x_step({batch, input_dim_});
     for (std::size_t b = 0; b < batch; ++b) {
       const float* src = x_t + b * steps * input_dim_;
       std::copy(src, src + input_dim_, x_step.data() + b * input_dim_);
     }
-    sgemm_bt(batch, input_dim_, g4, 1.0F, x_step.data(), w_x_.data(), 0.0F,
-             z.data());
-    sgemm_bt(batch, h_dim, g4, 1.0F, h_prev.data(), w_h_.data(), 1.0F,
-             z.data());
+    if (packed) {
+      sgemm_packed_b(batch, 1.0F, x_step.data(), w_x_packed, 0.0F, z.data());
+      sgemm_packed_b(batch, 1.0F, h_prev.data(), w_h_packed, 1.0F, z.data());
+    } else {
+      sgemm_bt(batch, input_dim_, g4, 1.0F, x_step.data(), w_x_.data(), 0.0F,
+               z.data());
+      sgemm_bt(batch, h_dim, g4, 1.0F, h_prev.data(), w_h_.data(), 1.0F,
+               z.data());
+    }
     MMHAR_CHECK(z.size() == batch * g4);
     for (std::size_t b = 0; b < batch; ++b) {
       float* zr = z.data() + b * g4;

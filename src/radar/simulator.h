@@ -14,12 +14,15 @@
 // between consecutive frames.
 //
 // Per-triangle contributions factorize as rank-1 phasor products over
-// (antenna, chirp, sample). The synthesis kernel is structure-of-arrays:
-// per (scatterer, antenna) the sample phasor exp(i dphi_n n) is tabulated
-// once with a multi-lane rotation recurrence (re-seeded from a
-// double-precision anchor every few thousand samples to bound float
-// drift), then every chirp row is a branch-free rank-1 complex update
-// against split real/imag planes. Antennas are distributed over the
+// (antenna, chirp, sample). The synthesis kernel is structure-of-arrays
+// and works on blocks of scatterers: per antenna it tabulates each
+// block's chirp bases and sample phasors exp(i dphi_n n) (a multi-lane
+// rotation recurrence, re-seeded from a double-precision anchor every
+// few thousand samples to bound float drift), then sweeps register tiles
+// of the split real/imag planes across the block, each element adding
+// the block's scatterers in their given order. Complex products spell
+// out their FMA contraction, so cubes do not depend on where the
+// compiler fuses (DESIGN.md §6d). Antennas are distributed over the
 // thread pool inside a single frame, and frames of a sequence are
 // distributed over it as well (nested calls run inline); outputs are
 // bit-identical for any MMHAR_THREADS. Visibility = back-face culling

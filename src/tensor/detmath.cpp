@@ -5,9 +5,9 @@
 #include <cstdint>
 
 // Built with -ffp-contract=off -fno-trapping-math (src/tensor/
-// CMakeLists.txt): every fused multiply-add below is an explicit
-// std::fma, and no other operation pair may be fused, or the results
-// would leave the reference bits.
+// CMakeLists.txt): every fused multiply-add below is explicit, and no
+// other operation pair may be fused, or the results would leave the
+// reference bits.
 
 namespace mmhar::detmath {
 namespace {
@@ -96,8 +96,20 @@ float from_bits(std::uint32_t u) { return std::bit_cast<float>(u); }
   return blend(ix > 0x7f800000U, x + x, r);  // NaN
 }
 
+// a * b + c as glibc's x86-64 FMA build of expf evaluates it: fused
+// where the target has FMA. Elsewhere std::fma would be a libm call that
+// keeps the sigmoid loop scalar; the rounded multiply-add gives the same
+// sigmoid for all 2^32 inputs (DetMath.DISABLED_ExhaustiveAllFloats).
+[[gnu::always_inline]] inline double madd(double a, double b, double c) {
+#ifdef __FMA__
+  return std::fma(a, b, c);
+#else
+  return a * b + c;
+#endif
+}
+
 // glibc's expf (sysdeps/ieee754/flt-32/e_expf.c with the exp2f_data
-// table), as its x86-64 FMA build evaluates it.
+// table).
 constexpr std::uint64_t kExp2Tab[32] = {
     0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f,
     0x3fef9301d0125b51, 0x3fef72b83c7d517b, 0x3fef54873168b9aa,
@@ -121,14 +133,14 @@ constexpr std::uint64_t kExp2Tab[32] = {
 
   // x*32/ln2 = k + r with r in [-1/2, 1/2]; exp(x) = 2^(k/32) 2^(r/32).
   const double xd = x;
-  const double kd_shifted = std::fma(kInvLn2N, xd, kShift);
+  const double kd_shifted = madd(kInvLn2N, xd, kShift);
   const std::uint64_t ki = std::bit_cast<std::uint64_t>(kd_shifted);
   const double kd = kd_shifted - kShift;
-  const double r = std::fma(kInvLn2N, xd, -kd);
+  const double r = madd(kInvLn2N, xd, -kd);
   const double s = std::bit_cast<double>(kExp2Tab[ki % 32] + (ki << 47));
-  const double z = std::fma(kC0, r, kC1);
+  const double z = madd(kC0, r, kC1);
   const double r2 = r * r;
-  const double y = std::fma(z, r2, std::fma(kC2, r, 1.0)) * s;
+  const double y = madd(z, r2, madd(kC2, r, 1.0)) * s;
   const float main_result = static_cast<float>(y);
 
   // |x| >= 88, inf and NaN: the special cases, in glibc's order.

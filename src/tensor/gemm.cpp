@@ -20,8 +20,8 @@ constexpr std::size_t kMR = 4;
 constexpr std::size_t kNR = 32;
 // Cache blocking: a kBlockK x kBlockN slice of B is packed once per block
 // and streamed through every row tile (<= 1 MiB, L2-resident).
-constexpr std::size_t kBlockK = 256;
-constexpr std::size_t kBlockN = 1024;
+constexpr std::size_t kBlockK = kPackedBMaxK;
+constexpr std::size_t kBlockN = kPackedBMaxN;
 // Below this many multiply-adds the threading overhead dominates.
 constexpr std::size_t kParallelThreshold = 1u << 18;
 

@@ -105,6 +105,10 @@ struct PackedB {
   std::vector<float> data;
 };
 
+/// The largest operand PackedB holds: one cache block of the driver.
+inline constexpr std::size_t kPackedBMaxK = 256;
+inline constexpr std::size_t kPackedBMaxN = 1024;
+
 /// Pack row-major B[k x n] into microkernel panel layout.
 PackedB pack_b(std::size_t k, std::size_t n, const float* b);
 

@@ -170,6 +170,36 @@ TEST(PositionOpt, PerFrameOptimaMatchAnchorCatalogue) {
                InvalidArgument);
 }
 
+TEST(PositionOpt, SearchMatchesSeparateCallsBitwise) {
+  const har::SampleGenerator gen(tiny_generator_config());
+  har::HarModel surrogate(tiny_model_config());
+  TriggerPositionOptimizer opt(gen, surrogate);
+  har::SampleSpec spec;
+  const mesh::TriggerSpec trigger = mesh::TriggerSpec::aluminum_2x2();
+  const std::vector<std::size_t> frames = {5, 0, 3};
+  const auto search = opt.search(spec, trigger, frames);
+  const auto ranking = opt.evaluate_anchors(spec, trigger, frames);
+  const auto optima = opt.per_frame_optima(spec, trigger, frames);
+  ASSERT_EQ(search.ranking.size(), ranking.size());
+  for (std::size_t i = 0; i < ranking.size(); ++i) {
+    EXPECT_EQ(search.ranking[i].anchor, ranking[i].anchor);
+    EXPECT_EQ(search.ranking[i].score, ranking[i].score);
+    EXPECT_EQ(search.ranking[i].feature_distance, ranking[i].feature_distance);
+    EXPECT_EQ(search.ranking[i].heatmap_deviation,
+              ranking[i].heatmap_deviation);
+    EXPECT_EQ(search.ranking[i].range_profile_shift,
+              ranking[i].range_profile_shift);
+  }
+  ASSERT_EQ(search.optima.size(), optima.size());
+  for (std::size_t i = 0; i < optima.size(); ++i) {
+    EXPECT_EQ(search.optima[i].x, optima[i].x);
+    EXPECT_EQ(search.optima[i].y, optima[i].y);
+    EXPECT_EQ(search.optima[i].z, optima[i].z);
+  }
+  EXPECT_THROW(opt.search(spec, trigger, {}), InvalidArgument);
+  EXPECT_THROW(opt.search(spec, trigger, {99}), InvalidArgument);
+}
+
 // ---- Poisoning mechanics ----
 
 har::Dataset make_synthetic_dataset(std::size_t per_class, Rng& rng,
