@@ -86,7 +86,9 @@ INSTANTIATE_TEST_SUITE_P(
                       LstmCase{2, 3, 4, 2, false},   // small
                       LstmCase{3, 2, 8, 1, false},   // long sequence
                       LstmCase{2, 3, 4, 2, true},    // sequence output
-                      LstmCase{4, 4, 2, 3, true}));  // square
+                      LstmCase{4, 4, 2, 3, true},    // square
+                      // wider input than a packed operand holds (k > 256)
+                      LstmCase{300, 2, 2, 1, false}));
 
 TEST(ConvShapesEdge, OutputSizeFormula) {
   Rng rng(1);

@@ -647,6 +647,33 @@ TEST(DetMath, LstmMatchesScalarStdGateLoopBitwise) {
   }
 }
 
+// The same at the limits of a packed weight operand (k <= 256, 4H <= 1024),
+// where the forward packs W_x/W_h once, and just past them, where it falls
+// back to sgemm_bt per step. At batch 8 the reference's larger gate products
+// split their rows over the pool; the packed ones run on one thread.
+TEST(DetMath, LstmMatchesReferenceAtPackedOperandLimits) {
+  SKIP_UNLESS_LIBM_IS_REFERENCE();
+  constexpr std::size_t kSteps = 3;
+  struct Dims {
+    std::size_t input, hidden;
+  };
+  for (const Dims dims : {Dims{256, 256}, Dims{300, 8}, Dims{20, 257}}) {
+    for (const std::size_t batch : {1, 8}) {
+      SCOPED_TRACE(::testing::Message() << "input " << dims.input << " H "
+                                        << dims.hidden << " batch " << batch);
+      Rng rng(dims.input + 7 * dims.hidden + batch);
+      nn::LSTM lstm(dims.input, dims.hidden, rng, false);
+      ReferenceLstm ref(lstm, false);
+      const Tensor in =
+          Tensor::randn({batch, kSteps, dims.input}, rng, 0.0F, 1.0F);
+      const Tensor out = lstm.forward(in, true);
+      ASSERT_TRUE(same_tensor(out, ref.forward(in)));
+      const Tensor g = Tensor::randn(out.shape(), rng);
+      EXPECT_TRUE(same_tensor(lstm.backward(g), ref.backward(g)));
+    }
+  }
+}
+
 // The full 2^32 sweep, ~20 s on 4 threads; run with
 // --gtest_also_run_disabled_tests (the CI Release leg does).
 TEST(DetMath, DISABLED_ExhaustiveAllFloats) {
