@@ -10,11 +10,14 @@
 // override the sweep grids.
 #pragma once
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/check.h"
 #include "common/env.h"
 #include "core/experiment.h"
 #include "mesh/activity.h"
@@ -35,39 +38,66 @@ inline Scenario make_scenario(mesh::Activity victim, mesh::Activity target) {
   return s;
 }
 
-/// Parse a comma-separated numeric list from an env var ("0.1,0.2,0.4");
-/// unset/empty/unparseable falls back to the default grid.
-inline std::vector<double> env_double_list(const char* name,
-                                           std::vector<double> fallback) {
-  const std::string raw = env_string(name, "");
-  if (raw.empty()) return fallback;
+[[noreturn]] inline void bad_list_token(const char* knob,
+                                        const std::string& token,
+                                        const char* why) {
+  throw InvalidArgument(std::string(knob) + ": sweep-list token '" + token +
+                        "' " + why);
+}
+
+/// Parse the comma-separated numeric list `raw` ("0.1,0.2,0.4") read from
+/// `knob`. Every token must be one finite number: an empty token, trailing
+/// junk or a non-finite value throws InvalidArgument naming the knob and
+/// the token.
+inline std::vector<double> parse_double_list(const char* knob,
+                                             const std::string& raw) {
   std::vector<double> out;
   std::size_t pos = 0;
   std::string tok;  // hoisted per-token scratch
-  while (pos <= raw.size()) {
+  while (true) {
     const std::size_t comma = raw.find(',', pos);
     tok.assign(raw, pos,
                comma == std::string::npos ? std::string::npos : comma - pos);
     char* end = nullptr;
     const double v = std::strtod(tok.c_str(), &end);
-    if (end != tok.c_str()) out.push_back(v);
-    if (comma == std::string::npos) break;
+    if (end == tok.c_str() || *end != '\0')
+      bad_list_token(knob, tok, "is not a number");
+    if (!std::isfinite(v)) bad_list_token(knob, tok, "is not finite");
+    out.push_back(v);
+    if (comma == std::string::npos) return out;
     pos = comma + 1;
   }
-  return out.empty() ? fallback : out;
+}
+
+/// Frame counts from `raw`, as parse_double_list reads it; every count
+/// must also be a whole number from 1 to 1e9.
+inline std::vector<std::size_t> parse_frame_counts(const char* knob,
+                                                   const std::string& raw) {
+  std::vector<std::size_t> counts;
+  for (const double v : parse_double_list(knob, raw)) {
+    if (!(v >= 1.0 && v <= 1e9 && v == std::floor(v))) {
+      std::ostringstream token;
+      token << v;
+      bad_list_token(knob, token.str(),
+                     "is not a whole frame count from 1 to 1e9");
+    }
+    counts.push_back(static_cast<std::size_t>(v));
+  }
+  return counts;
 }
 
 /// Default sweep grids (paper sweeps injection rate at 8 frames and frame
-/// count at rate 0.4); override via MMHAR_RATES / MMHAR_FRAMES.
+/// count at rate 0.4); override via MMHAR_RATES / MMHAR_FRAMES. An unset
+/// or empty knob gives the default grid; a malformed one throws.
 inline std::vector<double> default_rates() {
-  return env_double_list("MMHAR_RATES", {0.1, 0.2, 0.3, 0.4});
+  const std::string raw = env_string("MMHAR_RATES", "");
+  if (raw.empty()) return {0.1, 0.2, 0.3, 0.4};
+  return parse_double_list("MMHAR_RATES", raw);
 }
 inline std::vector<std::size_t> default_frame_counts() {
-  const auto raw = env_double_list("MMHAR_FRAMES", {2, 4, 8, 12});
-  std::vector<std::size_t> counts;
-  for (const double v : raw)
-    if (v >= 1.0) counts.push_back(static_cast<std::size_t>(v));
-  return counts.empty() ? std::vector<std::size_t>{2, 4, 8, 12} : counts;
+  const std::string raw = env_string("MMHAR_FRAMES", "");
+  if (raw.empty()) return {2, 4, 8, 12};
+  return parse_frame_counts("MMHAR_FRAMES", raw);
 }
 
 inline void print_run_config(const core::ExperimentSetup& setup) {

@@ -20,6 +20,11 @@ namespace {
 
 using namespace mmhar;
 
+// Cases whose body runs work on the global pool register with
+// UseRealTime(): Google Benchmark otherwise times them, and divides their
+// kIsRate counters, by the main thread's CPU time alone, which leaves out
+// the workers' share.
+
 void BM_Fft(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   Rng rng(1);
@@ -49,7 +54,7 @@ void BM_Gemm(benchmark::State& state) {
       2.0 * n * n * n * state.iterations() / 1e9,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256)->UseRealTime();
 
 har::GeneratorConfig bench_generator_config() {
   har::GeneratorConfig gc;
@@ -81,7 +86,7 @@ void BM_IfSynthesisPerFrame(benchmark::State& state) {
   state.counters["scatterers"] =
       static_cast<double>(scatterers.size());
 }
-BENCHMARK(BM_IfSynthesisPerFrame);
+BENCHMARK(BM_IfSynthesisPerFrame)->UseRealTime();
 
 // Paper §VI-D analog: IF-signal synthesis for a full 32-frame activity,
 // normalized per virtual antenna (their GPU figure: ~0.87 s per TX-RX
@@ -98,7 +103,7 @@ void BM_IfSynthesisPerAntenna(benchmark::State& state) {
       antennas * state.iterations(),
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_IfSynthesisPerAntenna)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_IfSynthesisPerAntenna)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_DraiPipeline(benchmark::State& state) {
   const har::SampleGenerator gen(bench_generator_config());
@@ -108,7 +113,7 @@ void BM_DraiPipeline(benchmark::State& state) {
     benchmark::DoNotOptimize(hm.data());
   }
 }
-BENCHMARK(BM_DraiPipeline);
+BENCHMARK(BM_DraiPipeline)->UseRealTime();
 
 // Paper-dimension radar cubes (16 chirps x 16 virtual antennas x 64 ADC
 // samples) filled with noise — the DSP stages see the same shapes as the
@@ -136,7 +141,7 @@ void BM_RangeFft(benchmark::State& state) {
     benchmark::DoNotOptimize(spectra.data.data());
   }
 }
-BENCHMARK(BM_RangeFft);
+BENCHMARK(BM_RangeFft)->UseRealTime();
 
 void BM_DraiFrame(benchmark::State& state) {
   const auto frames = paper_frames(1);
@@ -147,7 +152,7 @@ void BM_DraiFrame(benchmark::State& state) {
     benchmark::DoNotOptimize(hm.data());
   }
 }
-BENCHMARK(BM_DraiFrame);
+BENCHMARK(BM_DraiFrame)->UseRealTime();
 
 // Acceptance-gated end-to-end DSP figure: a full 32-frame activity through
 // Range-FFT + clutter removal + angle FFT + dB + sequence normalization.
@@ -163,7 +168,7 @@ void BM_DraiSequence32(benchmark::State& state) {
       32.0 * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_DraiSequence32)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DraiSequence32)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 har::HarModelConfig bench_model_config() {
   har::HarModelConfig mc;
@@ -185,7 +190,7 @@ void BM_ModelForward(benchmark::State& state) {
   state.counters["samples/s"] = benchmark::Counter(
       8.0 * state.iterations(), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_ModelForward)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ModelForward)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_ModelTrainStep(benchmark::State& state) {
   har::HarModel model(bench_model_config());
@@ -202,7 +207,7 @@ void BM_ModelTrainStep(benchmark::State& state) {
   state.counters["samples/s"] = benchmark::Counter(
       8.0 * state.iterations(), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_ModelTrainStep)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ModelTrainStep)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // The serving forward per window at micro-batches of 1, 8 and 48 windows
 // (default HarModelConfig); bench_json_report records the same three

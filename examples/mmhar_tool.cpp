@@ -4,7 +4,6 @@
 //   info                         radar/derived-parameter summary
 //   simulate  [options]          one activity -> heatmap stats + ASCII
 //   export    [options] PREFIX   posed body meshes as OBJ files
-//   doppler   [options]          micro-Doppler centroid track
 //   anchors                      body-anchor catalogue for a participant
 //
 // Common options:
@@ -14,11 +13,11 @@
 //   --participant N   0..2 body build (default 0)
 //   --trigger ANCHOR  attach a 2x2in reflector (chest|abdomen|waist|...)
 //   --frames N        frames per activity (default 32)
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
 
-#include "dsp/microdoppler.h"
 #include "har/generator.h"
 #include "mesh/obj_io.h"
 
@@ -37,7 +36,7 @@ struct Options {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: mmhar_tool <info|simulate|export|doppler|anchors> "
+               "usage: mmhar_tool <info|simulate|export|anchors> "
                "[--activity A] [--distance M] [--angle DEG]\n"
                "                  [--participant N] [--trigger ANCHOR] "
                "[--frames N] [prefix]\n");
@@ -199,21 +198,6 @@ int main(int argc, char** argv) {
     std::printf("wrote %zu OBJ frames to %s_*.obj (%zu triangles each)\n",
                 meshes.size(), positional.c_str(),
                 meshes.front().num_triangles());
-    return 0;
-  }
-
-  if (command == "doppler") {
-    const auto cubes = generator.generate_cubes(spec, trigger);
-    dsp::MicroDopplerConfig mc;
-    const Tensor gram = dsp::micro_doppler_spectrogram(cubes, mc);
-    const auto track = dsp::doppler_centroid_track(gram);
-    std::printf("micro-Doppler centroid per frame (+ = approaching):\n");
-    for (std::size_t f = 0; f < track.size(); ++f) {
-      std::printf("  frame %2zu %+7.2f ", f, track[f]);
-      const int bars = static_cast<int>(std::abs(track[f]) * 8.0);
-      for (int b = 0; b < std::min(bars, 30); ++b) std::putchar('|');
-      std::putchar('\n');
-    }
     return 0;
   }
 

@@ -23,15 +23,12 @@ constexpr EnvKnob kKnobs[] = {
     {"MMHAR_REPS_TRAIN", "int", "2", "training repetitions per grid cell (72 samples/class)"},
     {"MMHAR_RESUME", "flag", "1", "replay completed sweep repeats from the journal"},
     {"MMHAR_SERVING_BATCH", "int", "64", "max frames fused per serving batcher cycle"},
-    {"MMHAR_SERVING_BENCH_SHARDS", "list", "1,2,4", "bench_serving: comma-separated shard counts for the throughput sweep"},
     {"MMHAR_SERVING_DROP_POLICY", "string", "oldest", "full frame ring: drop 'oldest' queued frame or reject 'newest'"},
-    {"MMHAR_SERVING_FRAMES", "int", "48", "bench_serving: frames submitted per stream"},
+    {"MMHAR_SERVING_FRAMES", "int", "24", "bench_serving_chaos: frames submitted per stream"},
     {"MMHAR_SERVING_MAX_STREAM_FAULTS", "int", "3", "consecutive contained faults before a serving stream is suspended (0 = never)"},
     {"MMHAR_SERVING_QUEUE_DEPTH", "int", "4", "per-stream frame-ring capacity in the serving layer"},
-    {"MMHAR_SERVING_RATE_HZ", "int", "30", "bench_serving: paced per-stream submit rate for the latency leg"},
     {"MMHAR_SERVING_SHARDS", "int", "1", "batcher shards in the serving layer (one worker thread each)"},
     {"MMHAR_SERVING_SLO_MS", "int", "0", "serving admission SLO in ms; frames/results past it are dropped (0 = off)"},
-    {"MMHAR_SERVING_STREAMS", "list", "1,8,64", "bench_serving: comma-separated concurrent stream counts"},
     {"MMHAR_SHAP_SAMPLES", "int", "36", "samples in the Fig. 3 SHAP histogram"},
     {"MMHAR_THREADS", "int", "0 (auto)", "thread-pool size; 0 = hardware concurrency"},
     {"MMHAR_VERBOSE", "flag", "0", "per-epoch training log lines"},

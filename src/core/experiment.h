@@ -7,9 +7,9 @@
 // simulated datasets and one surrogate instead of regenerating them.
 //
 // Scale knobs (environment variables):
-//   MMHAR_REPS_TRAIN  repetitions per grid cell in the training set (1)
+//   MMHAR_REPS_TRAIN  repetitions per grid cell in the training set (2)
 //   MMHAR_REPS_TEST   repetitions per grid cell in the test sets (1)
-//   MMHAR_EPOCHS      training epochs (15)
+//   MMHAR_EPOCHS      training epochs (20)
 //   MMHAR_REPEATS     backdoor-training repetitions per point (2; the
 //                     paper uses 30)
 //   MMHAR_CACHE_DIR   dataset/model cache directory (.mmhar_cache)

@@ -128,14 +128,6 @@ std::vector<PositionCandidate> TriggerPositionOptimizer::rank(
   return out;
 }
 
-PositionCandidate TriggerPositionOptimizer::best_anchor(
-    const har::SampleSpec& spec, const mesh::TriggerSpec& trigger,
-    const std::vector<std::size_t>& frames_of_interest) const {
-  const auto ranked = evaluate_anchors(spec, trigger, frames_of_interest);
-  MMHAR_CHECK(!ranked.empty());
-  return ranked.front();
-}
-
 std::vector<mesh::Vec3> TriggerPositionOptimizer::per_frame_optima(
     const har::SampleSpec& spec, const mesh::TriggerSpec& trigger,
     const std::vector<std::size_t>& frames) const {

@@ -53,11 +53,6 @@ class TriggerPositionOptimizer {
       const har::SampleSpec& spec, const mesh::TriggerSpec& trigger,
       const std::vector<std::size_t>& frames_of_interest = {}) const;
 
-  /// Best anchor overall (convenience).
-  PositionCandidate best_anchor(
-      const har::SampleSpec& spec, const mesh::TriggerSpec& trigger,
-      const std::vector<std::size_t>& frames_of_interest = {}) const;
-
   /// Per-frame optimum op_i: for each frame index in `frames`, the anchor
   /// position maximizing that single frame's objective. Feeds Eq. 4.
   std::vector<mesh::Vec3> per_frame_optima(

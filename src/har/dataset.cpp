@@ -109,6 +109,8 @@ Dataset Dataset::load(const std::string& path) {
   return ds;
 }
 
+DatasetConfig::DatasetConfig() = default;
+
 void DatasetConfig::hash_into(Hasher& h) const {
   for (const int p : participants) h.mix(p);
   for (const double d : distances_m) h.mix(d);

@@ -62,6 +62,11 @@ class Dataset {
 
 /// Collection grid (positions / participants / repetitions).
 struct DatasetConfig {
+  /// Defined out of line: inlined into a caller, GCC 12 under
+  /// -march=native flags the vector members' initializer-list copies as
+  /// -Wmaybe-uninitialized (a false positive).
+  DatasetConfig();
+
   std::vector<int> participants{0, 1, 2};
   std::vector<double> distances_m{0.8, 1.2, 1.6, 2.0};
   std::vector<double> angles_deg{-30.0, 0.0, 30.0};

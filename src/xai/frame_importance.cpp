@@ -44,16 +44,6 @@ std::vector<double> FrameImportance::shap_values(const Tensor& sample,
   return sampling_shapley(frames, value, config_.num_permutations, rng_);
 }
 
-std::vector<double> FrameImportance::shap_values_predicted(
-    const Tensor& sample) {
-  return shap_values(sample, model_.predict(sample));
-}
-
-std::vector<std::size_t> FrameImportance::top_k_frames(
-    const Tensor& sample, std::size_t target_class, std::size_t k) {
-  return top_k_by_magnitude(shap_values(sample, target_class), k);
-}
-
 std::vector<double> FrameImportance::mean_abs_shap(
     const har::Dataset& dataset, const std::vector<std::size_t>& indices,
     std::size_t target_class) {

@@ -37,14 +37,6 @@ class FrameImportance {
   std::vector<double> shap_values(const Tensor& sample,
                                   std::size_t target_class);
 
-  /// Same, but explaining the model's own predicted class.
-  std::vector<double> shap_values_predicted(const Tensor& sample);
-
-  /// Top-k most important frame indices of a sample (by |SHAP|).
-  std::vector<std::size_t> top_k_frames(const Tensor& sample,
-                                        std::size_t target_class,
-                                        std::size_t k);
-
   /// Average |SHAP| per frame over several samples; the attack uses this
   /// to pick one global set of poisoning frames for a victim activity.
   std::vector<double> mean_abs_shap(const har::Dataset& dataset,

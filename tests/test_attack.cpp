@@ -142,7 +142,7 @@ TEST(PositionOpt, StealthPenaltyReordersScores) {
                                       PositionObjective{1.0, 0.0});
   TriggerPositionOptimizer heavy_penalty(gen, surrogate,
                                          PositionObjective{1.0, 100.0});
-  const auto a = no_penalty.best_anchor(spec, trig);
+  const auto a = no_penalty.evaluate_anchors(spec, trig).front();
   const auto b = heavy_penalty.evaluate_anchors(spec, trig);
   // With a huge beta every score goes negative: beta term dominates.
   EXPECT_GT(a.score, 0.0);

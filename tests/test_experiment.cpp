@@ -5,6 +5,7 @@
 
 #include <cstdlib>
 
+#include "bench_common.h"
 #include "core/experiment.h"
 
 namespace mmhar::core {
@@ -77,6 +78,57 @@ TEST(AttackExperiment, RequiresAtLeastOneRepeat) {
   auto setup = ExperimentSetup::standard();
   setup.repeats = 0;
   EXPECT_THROW(AttackExperiment{std::move(setup)}, InvalidArgument);
+}
+
+// The message names the knob and the offending token.
+void expect_list_error(const std::string& raw, const std::string& token) {
+  try {
+    bench::parse_frame_counts("MMHAR_TEST_LIST", raw);
+    ADD_FAILURE() << "'" << raw << "' parsed";
+  } catch (const InvalidArgument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("MMHAR_TEST_LIST"), std::string::npos) << what;
+    EXPECT_NE(what.find("'" + token + "'"), std::string::npos) << what;
+  }
+}
+
+TEST(SweepList, ParsesWellFormedLists) {
+  EXPECT_EQ(bench::parse_double_list("MMHAR_TEST_LIST", "0.1,0.2, 0.4"),
+            (std::vector<double>{0.1, 0.2, 0.4}));
+  EXPECT_EQ(bench::parse_double_list("MMHAR_TEST_LIST", "-1e-3"),
+            (std::vector<double>{-1e-3}));
+  EXPECT_EQ(bench::parse_frame_counts("MMHAR_TEST_LIST", "2,8,12"),
+            (std::vector<std::size_t>{2, 8, 12}));
+}
+
+TEST(SweepList, RejectsMalformedTokens) {
+  expect_list_error("1,abc", "abc");  // unparseable token
+  expect_list_error("4x", "4x");      // trailing junk
+  expect_list_error("2,,4", "");      // empty token
+  expect_list_error("2,", "");        // trailing comma
+  expect_list_error("nan", "nan");    // non-finite
+  expect_list_error("1e999", "1e999");
+  expect_list_error("4,0", "0");      // frame count below 1
+  expect_list_error("-2", "-2");
+  expect_list_error("2.5", "2.5");    // not a whole count
+  EXPECT_THROW(bench::parse_double_list("MMHAR_TEST_LIST", "0.1,garbage"),
+               InvalidArgument);
+  EXPECT_THROW(bench::parse_double_list("MMHAR_TEST_LIST", "inf"),
+               InvalidArgument);
+}
+
+TEST(SweepList, UnsetOrEmptyKnobGivesDefaultGrid) {
+  ::unsetenv("MMHAR_RATES");
+  ::setenv("MMHAR_FRAMES", "", 1);
+  EXPECT_EQ(bench::default_rates(), (std::vector<double>{0.1, 0.2, 0.3, 0.4}));
+  EXPECT_EQ(bench::default_frame_counts(),
+            (std::vector<std::size_t>{2, 4, 8, 12}));
+  ::setenv("MMHAR_RATES", "garbage", 1);
+  ::setenv("MMHAR_FRAMES", "0", 1);
+  EXPECT_THROW(bench::default_rates(), InvalidArgument);
+  EXPECT_THROW(bench::default_frame_counts(), InvalidArgument);
+  ::unsetenv("MMHAR_RATES");
+  ::unsetenv("MMHAR_FRAMES");
 }
 
 }  // namespace

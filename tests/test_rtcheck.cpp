@@ -45,7 +45,14 @@ RunResult run(const std::string& cmd) {
   return r;
 }
 
-std::string q(const fs::path& p) { return "\"" + p.string() + "\""; }
+// Appends rather than `"\"" + s + "\""`: GCC 12 under -march=native
+// reports a -Wrestrict false positive on that temporary chain.
+std::string q(const fs::path& p) {
+  std::string s = "\"";
+  s += p.string();
+  s += '"';
+  return s;
+}
 
 const fs::path kRoot = MMHAR_REPO_ROOT;
 const std::string kRtcheck = std::string("\"") + MMHAR_RTCHECK_BIN + "\"";

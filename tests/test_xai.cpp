@@ -203,8 +203,8 @@ TEST(FrameImportance, IdentifiesTheDecisiveFrame) {
   FrameImportance importance(model, cfg);
   // Explain a positive sample w.r.t. class 1.
   const auto pos = train.indices_of_label(1);
-  const auto top =
-      importance.top_k_frames(train.sample(pos[0]).heatmaps, 1, 1);
+  const auto top = top_k_by_magnitude(
+      importance.shap_values(train.sample(pos[0]).heatmaps, 1), 1);
   EXPECT_EQ(top.front(), 5u);
 }
 

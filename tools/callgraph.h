@@ -238,7 +238,7 @@ inline void index_env_sites(SourceFile& file) {
   static const std::regex lit_re(
       R"((^|[^\w])(env_[a-z_]+|getenv)\s*\(\s*"([A-Za-z0-9_]+)\")");
   static const std::regex dyn_re(
-      R"((^|[^\w])(env_int|env_double|env_string|env_double_list|getenv)\s*\(\s*[^"\s])");
+      R"((^|[^\w])(env_int|env_double|env_string|getenv)\s*\(\s*[^"\s])");
   std::string tail;  // hoisted per-line scratch
   for (std::size_t i = 0; i < file.code_strings.size(); ++i) {
     tail = file.code_strings[i];

@@ -7,8 +7,8 @@
 // over that index:
 //
 //   env-knob-registry      every MMHAR_* name read through env_int /
-//                          env_double / env_string / env_double_list /
-//                          getenv must have a row in
+//                          env_double / env_string / getenv must have a
+//                          row in
 //                          src/common/env_registry.cpp, every registry row
 //                          must appear in README.md's env table, every
 //                          README table row must be a registry row, and
@@ -782,8 +782,8 @@ int main(int argc, char** argv) {
               << v.message << "\n";
   std::cout << "mmhar_analyze: scanned " << file_count << " file(s), "
             << violations.size() << " violation(s)\n";
-  // Machine-readable one-liner (same shape as mmhar_lint / mmhar_rtcheck /
-  // bench_gate summaries) so CI log scrapers need no per-tool parsing.
+  // Machine-readable one-liner (same shape as the mmhar_lint and
+  // mmhar_rtcheck summaries) so CI log scrapers need no per-tool parsing.
   std::cout << "mmhar_analyze: summary files=" << file_count
             << " violations=" << violations.size()
             << " status=" << (violations.empty() ? "ok" : "fail") << "\n";

@@ -60,7 +60,7 @@
 //                 [--rule <name>]... [--report <file>] <root>...
 //
 // Exit codes: 0 clean, 1 violations, 2 usage/IO error — aligned with
-// mmhar_lint / mmhar_analyze / bench_gate. Runs in CI and as a ctest (see
+// mmhar_lint / mmhar_analyze. Runs in CI and as a ctest (see
 // tools/CMakeLists.txt); --report writes the violation list with call
 // chains to a file CI uploads as an artifact on failure.
 
