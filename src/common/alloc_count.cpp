@@ -16,7 +16,7 @@ void* counted_alloc(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   if (size == 0) size = 1;
   // The one place raw malloc is legitimate: this IS the allocator.
-  void* p = std::malloc(size);  // mmhar-lint: allow(naked-alloc)
+  void* p = std::malloc(size);  // mmhar: allow(naked-alloc)
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
@@ -26,7 +26,7 @@ void* counted_alloc_aligned(std::size_t size, std::size_t align) {
   if (size == 0) size = align;
   // aligned_alloc requires the size to be a multiple of the alignment.
   const std::size_t rounded = (size + align - 1) / align * align;
-  void* p = std::aligned_alloc(align, rounded);  // mmhar-lint: allow(naked-alloc)
+  void* p = std::aligned_alloc(align, rounded);  // mmhar: allow(naked-alloc)
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
@@ -53,16 +53,16 @@ void* operator new[](std::size_t size, std::align_val_t align) {
 }
 
 // These ARE the deallocator, so raw free is the whole point.
-// mmhar-lint: allow(naked-alloc)
+// mmhar: allow(naked-alloc)
 void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }  // mmhar-lint: allow(naked-alloc)
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }  // mmhar-lint: allow(naked-alloc)
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }  // mmhar-lint: allow(naked-alloc)
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }  // mmhar-lint: allow(naked-alloc)
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }  // mmhar-lint: allow(naked-alloc)
+void operator delete[](void* p) noexcept { std::free(p); }  // mmhar: allow(naked-alloc)
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }  // mmhar: allow(naked-alloc)
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }  // mmhar: allow(naked-alloc)
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }  // mmhar: allow(naked-alloc)
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }  // mmhar: allow(naked-alloc)
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);  // mmhar-lint: allow(naked-alloc)
+  std::free(p);  // mmhar: allow(naked-alloc)
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);  // mmhar-lint: allow(naked-alloc)
+  std::free(p);  // mmhar: allow(naked-alloc)
 }

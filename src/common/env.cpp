@@ -15,7 +15,7 @@ namespace {
 // row). MMHAR_TEST_* is reserved for unit tests.
 const char* checked(const char* name) {
   if (!env_name_allowed(name)) {
-    // mmhar-rtcheck: allow(throw, alloc) — fires only on an unregistered
+    // mmhar: allow(throw, alloc) — fires only on an unregistered
     // knob name, a programmer error caught by the first read ever
     // executed; same failure class as an MMHAR_REQUIRE tripping.
     throw Error(std::string("env_*(\"") + name +

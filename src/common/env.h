@@ -6,7 +6,7 @@
 //
 // Every MMHAR_* name read through these helpers must be declared in
 // common/env_registry.h — unregistered names throw at the read site, and
-// tools/mmhar_analyze cross-checks all call sites against the registry
+// tools/mmhar_check cross-checks all call sites against the registry
 // and README.md's env table at lint time.
 #pragma once
 

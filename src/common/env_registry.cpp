@@ -5,7 +5,7 @@
 namespace mmhar {
 namespace {
 
-// One row per knob, one line per row: tools/mmhar_analyze parses this
+// One row per knob, one line per row: tools/mmhar_check parses this
 // table textually (pass 1 of the env-knob-registry rule), so keep the
 // {"NAME", "type", "default", "doc"} shape and the line breaks.
 constexpr EnvKnob kKnobs[] = {

@@ -6,7 +6,7 @@
 // one-line doc), and every row must appear in README.md's env table. Both
 // directions are enforced twice:
 //
-//   compile time  tools/mmhar_analyze's `env-knob-registry` rule
+//   compile time  tools/mmhar_check's `env-knob-registry` rule
 //                 cross-references all env_int/env_double/env_string call
 //                 sites against this registry and the README table (runs
 //                 as a ctest and in CI);

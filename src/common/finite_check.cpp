@@ -23,7 +23,7 @@ bool env_enabled() {
   // startup read passed down. It gates whether checks run, never what
   // they compute.
   static const bool enabled =
-      // MMHAR_DETCHECK_ALLOW(env-read)
+      // mmhar: allow(det-env-read)
       env_int("MMHAR_FINITE_CHECKS", MMHAR_FINITE_CHECKS_DEFAULT) != 0;
   return enabled;
 }

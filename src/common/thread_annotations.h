@@ -17,7 +17,7 @@
 // common/mutex.h (raw std::mutex cannot be used as a capability because
 // libstdc++ does not annotate it). Every file that uses one of these
 // macros must include this header directly — enforced by the
-// `header-hygiene` rule of tools/mmhar_analyze.
+// `header-hygiene` rule of tools/mmhar_check.
 //
 // Reference: https://clang.llvm.org/docs/ThreadSafetyAnalysis.html
 #pragma once
@@ -84,7 +84,7 @@
   MMHAR_THREAD_ANNOTATION(no_thread_safety_analysis)
 
 // ---------------------------------------------------------------------------
-// Real-time-safety annotations (consumed by tools/mmhar_rtcheck).
+// Real-time-safety annotations (consumed by tools/mmhar_check's rt rules).
 //
 // MMHAR_REALTIME marks a function on the serving steady-state path: the
 // static checker proves that nothing reachable from it allocates, acquires
@@ -100,7 +100,7 @@
 // list: `void submit_frame(...) MMHAR_REALTIME_HANDOFF;`.
 //
 // Off-clang (and on clang without the opt-in below) they expand to
-// nothing; tools/mmhar_rtcheck reads them textually either way. When
+// nothing; tools/mmhar_check reads them textually either way. When
 // CMake defines MMHAR_RT_EFFECT_ATTRIBUTES (the MMHAR_SANITIZE=realtime
 // leg) and the compiler understands clang's function-effect attributes,
 // MMHAR_REALTIME maps to [[clang::nonblocking]] — the effect
@@ -118,17 +118,17 @@
 #endif
 #endif
 #ifndef MMHAR_REALTIME
-#define MMHAR_REALTIME          // no-op: checked textually by mmhar_rtcheck
-#define MMHAR_REALTIME_HANDOFF  // no-op: checked textually by mmhar_rtcheck
+#define MMHAR_REALTIME          // no-op: checked textually by mmhar_check
+#define MMHAR_REALTIME_HANDOFF  // no-op: checked textually by mmhar_check
 #endif
 
 // MMHAR_DETERMINISTIC marks a determinism root: every function reachable
 // from it must be bit-reproducible run to run (no hash-order iteration, no
 // clock/rand/thread-id/address-derived values, no racy parallel
 // reductions, no post-startup env reads). Checked transitively over the
-// whole-repo call graph by tools/mmhar_detcheck; the required root set is
-// pinned in tools/detcheck_roots.txt. Unlike MMHAR_REALTIME it never maps
+// whole-repo call graph by tools/mmhar_check; the required root set is
+// pinned in tools/check_roots.txt. Unlike MMHAR_REALTIME it never maps
 // to a compiler attribute — there is no hardware/compiler notion of
 // determinism to hand the claim to — so it is unconditionally empty and
 // may appear anywhere in a declaration, including before `override`.
-#define MMHAR_DETERMINISTIC  // no-op: checked textually by mmhar_detcheck
+#define MMHAR_DETERMINISTIC  // no-op: checked textually by mmhar_check

@@ -163,9 +163,9 @@ ThreadPool& global_pool() {
   // Magic static: MMHAR_THREADS is read exactly once, at first dispatch,
   // and frozen for the process lifetime. Worker count never feeds any
   // result — the PR-1/3 invariant (bit-identical for any MMHAR_THREADS)
-  // is exactly what mmhar_detcheck's other rules prove for callers.
+  // is exactly what mmhar_check's other det rules prove for callers.
   static ThreadPool pool(
-      // MMHAR_DETCHECK_ALLOW(env-read)
+      // mmhar: allow(det-env-read)
       static_cast<std::size_t>(env_int("MMHAR_THREADS", 0)));
   ThreadPool* override_pool = g_pool_override.load(std::memory_order_acquire);
   return override_pool != nullptr ? *override_pool : pool;

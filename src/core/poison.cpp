@@ -116,7 +116,7 @@ PoisonResult poison_dataset(const har::Dataset& train,
   // the former unordered_map was lookup-only (so hash order never leaked
   // into a result), but a sorted index keeps it that way by construction —
   // there is no iteration order for a future change to depend on, and
-  // mmhar_detcheck's unordered-iter rule has nothing to police here.
+  // mmhar_check's unordered-iter rule has nothing to police here.
   std::vector<std::pair<std::uint64_t, const har::Sample*>> twin_by_spec;
   twin_by_spec.reserve(triggered_twins.size());
   for (std::size_t i = 0; i < triggered_twins.size(); ++i) {

@@ -62,13 +62,13 @@ const Plan& plan_for(std::size_t n) MMHAR_REALTIME_HANDOFF {
     const auto it = cache.plans.find(n);
     if (it != cache.plans.end()) return it->second;
   }
-  // mmhar-rtcheck: allow(alloc, calls) — first-use-per-size plan
+  // mmhar: allow(alloc, rt-calls) — first-use-per-size plan
   // construction (build_plan allocates freely on this cold path); every
   // later call at this size returns through the shared-lock lookup above
   // without touching the allocator.
   Plan built = build_plan(n);
   WriterLock lk(cache.mu);
-  // mmhar-rtcheck: allow(alloc) — same cold path: one map node per FFT
+  // mmhar: allow(alloc) — same cold path: one map node per FFT
   // size for the lifetime of the process.
   return cache.plans.try_emplace(n, std::move(built)).first->second;
 }
@@ -86,11 +86,11 @@ struct Workspace {
   void ensure(std::size_t n, bool want_acc) {
     const std::size_t need = n * kLanes;
     if (re.size() < need) {
-      re.resize(need);   // mmhar-rtcheck: allow(alloc) — grow-once
-      im.resize(need);   // mmhar-rtcheck: allow(alloc) — thread-local
+      re.resize(need);   // mmhar: allow(alloc) — grow-once
+      im.resize(need);   // mmhar: allow(alloc) — thread-local
     }
     if (want_acc && acc.size() < need)
-      acc.resize(need);  // mmhar-rtcheck: allow(alloc) — workspace; a
+      acc.resize(need);  // mmhar: allow(alloc) — workspace; a
     // warmed steady-state call takes the size check, never the grow.
   }
 };

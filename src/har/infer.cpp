@@ -85,7 +85,7 @@ void InferenceScratch::reserve(const InferencePlan& plan,
   const ConvGeometry& g1 = plan.conv1;
   const ConvGeometry& g2 = plan.conv2;
   const auto grow = [](std::vector<float>& v, std::size_t need) {
-    // mmhar-rtcheck: allow(alloc) — grow-once scratch; a forward at a
+    // mmhar: allow(alloc) — grow-once scratch; a forward at a
     // warmed batch size takes the size check, never the resize.
     if (v.size() < need) v.resize(need);
   };

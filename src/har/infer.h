@@ -106,7 +106,7 @@ void infer_forward(const InferencePlan& plan, InferenceScratch& scratch,
                    float* logits) MMHAR_REALTIME MMHAR_DETERMINISTIC;
 
 /// Contiguous form: input [batch, T, H, W] -> logits [batch, C]. Same
-/// contract; mmhar_rtcheck and mmhar_detcheck key annotations by name, so
+/// contract; mmhar_check keys annotations by qualified name, so
 /// the row form's annotations make this overload a root too.
 void infer_forward(const InferencePlan& plan, InferenceScratch& scratch,
                    const float* input, std::size_t batch, float* logits);

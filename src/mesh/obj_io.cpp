@@ -1,6 +1,9 @@
 #include "mesh/obj_io.h"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
@@ -28,7 +31,7 @@ void save_obj(const std::string& path, const TriMesh& mesh) {
   const std::string tmp = path + ".tmp";
   {
     // Third-party text format; made atomic via temp file + rename below
-    // instead of save_artifact. mmhar-lint: allow(naked-cache-write)
+    // instead of save_artifact. mmhar: allow(naked-cache-write)
     std::ofstream os(tmp, std::ios::trunc);
     if (!os) throw IoError("save_obj: cannot open " + tmp);
     write_obj(os, mesh);
@@ -51,6 +54,27 @@ void save_obj_sequence(const std::string& prefix,
   }
 }
 
+namespace {
+
+// One 1-based face index: the digits before an optional /texture/normal
+// suffix, with no sign, no trailing junk and no overflow. Anything else
+// is an IoError naming the line.
+std::size_t parse_face_index(const std::string& token,
+                             const std::string& line) {
+  const std::string digits = token.substr(0, token.find('/'));
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(digits.c_str(), &end, 10);
+  if (digits.empty() || !std::isdigit(static_cast<unsigned char>(digits[0])) ||
+      *end != '\0' || errno == ERANGE)
+    throw IoError("read_obj: malformed face index '" + token + "': " + line);
+  if (value == 0)
+    throw IoError("read_obj: OBJ faces are 1-indexed: " + line);
+  return static_cast<std::size_t>(value);
+}
+
+}  // namespace
+
 TriMesh read_obj(std::istream& is) {
   TriMesh mesh;
   std::string line;
@@ -72,9 +96,7 @@ TriMesh read_obj(std::istream& is) {
         token.clear();  // extraction at EOF leaves the string untouched
         ls >> token;
         if (token.empty()) throw IoError("read_obj: malformed face: " + line);
-        out = static_cast<std::size_t>(
-            std::stoull(token.substr(0, token.find('/'))));
-        MMHAR_REQUIRE(out >= 1, "OBJ faces are 1-indexed");
+        out = parse_face_index(token, line);
       }
       mesh.add_triangle(idx[0] - 1, idx[1] - 1, idx[2] - 1, Material{});
     }

@@ -82,7 +82,7 @@ struct StreamingHarService::Stream {
   bool suspended MMHAR_GUARDED_BY(mu) = false;
   // Payload buffers: published by the mutex acquire/release around the
   // slot-index hand-offs above, never accessed under the lock itself.
-  // mmhar-analyze: allow(lock-annotation-coverage)
+  // mmhar: allow(lock-annotation-coverage)
   std::vector<std::vector<dsp::cfloat>> slot_data;
 
   mutable Mutex results_mu;
@@ -128,7 +128,7 @@ struct StreamingHarService::WindowTable {
 // sized once in the constructor; the cycle refills them through explicit
 // fill counters (n_cycle_streams, n_jobs, the per-round claim count) so
 // the steady-state path contains no container-growth call at all — which
-// is what lets mmhar_rtcheck prove the zero-allocation contract
+// is what lets mmhar_check prove the zero-allocation contract
 // statically instead of sampling it.
 struct StreamingHarService::Shard {
   struct Claim {
@@ -532,9 +532,9 @@ std::size_t StreamingHarService::quarantine_claims(Shard& sh,
       // Armed-only cold path: the injector takes its own mutex and may
       // allocate bookkeeping, which is exactly why it hides behind the
       // relaxed-atomic armed gate.
-      // mmhar-rtcheck: allow(calls)
+      // mmhar: allow(rt-calls)
       if (fault_should_fire("serving.frame_poison")) {
-        // mmhar-rtcheck: allow(calls)
+        // mmhar: allow(rt-calls)
         const std::size_t at = fault_draw(frame_elems);
         payload[at] = dsp::cfloat(std::numeric_limits<float>::quiet_NaN(),
                                   payload[at].imag());
@@ -790,7 +790,7 @@ void StreamingHarService::run_inference(Shard& sh) {
   if (fault_injection_armed()) {
     for (std::size_t j = 0; j < sh.n_jobs; ++j) {
       // Armed-only cold path (see quarantine_claims).
-      // mmhar-rtcheck: allow(calls)
+      // mmhar: allow(rt-calls)
       if (fault_should_fire("serving.infer_fail")) {
         sh.job_dead[j] = 1;
         degraded = true;

@@ -278,8 +278,8 @@ class StreamingHarService {
   struct WindowTable;
 
   // The MMHAR_REALTIME_HANDOFF annotations above and below form the
-  // serving steady-state root set of tools/mmhar_rtcheck (see
-  // tools/rtcheck_roots.txt): everything reachable from them is proved
+  // serving steady-state root set of tools/mmhar_check's rt rules (see
+  // tools/check_roots.txt): everything reachable from them is proved
   // allocation-, blocking-, throw-free, with bounded lock hand-offs
   // permitted only in the annotated bodies themselves. shard_main is
   // deliberately NOT annotated: its condvar wait is the idle-side sleep

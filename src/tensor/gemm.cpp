@@ -164,7 +164,7 @@ float* ensure_b_panel_buffer(std::size_t k, std::size_t n) {
   const std::size_t need = std::min(k, kBlockK) *
                            round_up(std::min(n, kBlockN), kNR);
   if (bbuf.size() < need) {
-    // mmhar-rtcheck: allow(alloc) — grow-once thread-local workspace; a
+    // mmhar: allow(alloc) — grow-once thread-local workspace; a
     // steady-state call at a warmed shape takes the branch, never the grow.
     bbuf.resize(need);
   }

@@ -5,6 +5,6 @@
 
 struct FixtureSuppressed {
   std::mutex mu;
-  // owned by the worker thread only. mmhar-analyze: allow(lock-annotation-coverage)
+  // owned by the worker thread only. mmhar: allow(lock-annotation-coverage)
   int scratch = 0;
 };

@@ -1,5 +1,5 @@
 #pragma once
-// mmhar_detcheck layering fixture: common (rank 0) reaching up into
+// mmhar_check layering fixture: common (rank 0) reaching up into
 // serving (rank 6) must fail the layering rule. Never compiled.
 #include "common/ok.h"
 #include "serving/api.h"

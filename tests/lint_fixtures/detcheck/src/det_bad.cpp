@@ -1,6 +1,6 @@
-// mmhar_detcheck fixture: seeded determinism violations, asserted at exact
-// (rule, file, line) with their call chains by
-// tests/test_static_analysis.cpp. Scanned as text only — never compiled.
+// mmhar_check det fixture: seeded determinism violations, asserted at
+// exact (rule, file, line) with their call chains by
+// tests/test_check.cpp. Scanned as text only — never compiled.
 // Keep line numbers stable.
 namespace fixture {
 
@@ -41,7 +41,7 @@ float det_parallel(ThreadPool& pool, std::size_t n) MMHAR_DETERMINISTIC {
 }
 
 int det_suppressed() MMHAR_DETERMINISTIC {
-  // MMHAR_DETCHECK_ALLOW(nondet-call) — fixture: waived on purpose
+  // mmhar: allow(nondet-call) — fixture: waived on purpose
   return std::rand();
 }
 

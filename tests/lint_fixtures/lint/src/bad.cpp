@@ -1,5 +1,5 @@
-// Seeded mmhar_lint violations; every line number in this file is
-// asserted by tests/test_static_analysis.cpp — renumber there if you
+// Seeded lint-family violations; every line number in this file is
+// asserted by tests/test_check.cpp — renumber there if you
 // edit here.
 #include <cstdlib>
 #include <fstream>

@@ -1,6 +1,6 @@
 #include <cstdlib>
 
 int fixture_allowed() {
-  // seeded for the suppression test. mmhar-lint: allow(banned-rng)
+  // seeded for the suppression test. mmhar: allow(banned-rng)
   return rand();
 }

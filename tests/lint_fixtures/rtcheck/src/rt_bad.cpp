@@ -1,5 +1,5 @@
-// mmhar_rtcheck fixture: seeded real-time violations, asserted at exact
-// (rule, file, line) with their call chains by tests/test_rtcheck.cpp.
+// mmhar_check rt fixture: seeded real-time violations, asserted at exact
+// (rule, file, line) with their call chains by tests/test_check.cpp.
 // Scanned as text only — never compiled. Keep line numbers stable.
 namespace fixture {
 
@@ -31,7 +31,7 @@ void hot_block() MMHAR_REALTIME {
 void hot_pool(ThreadPool& pool, std::size_t n) MMHAR_REALTIME {
   // The dispatch itself is waived so the test can show the lambda body
   // is still charged to this function:
-  // mmhar-rtcheck: allow(block) — fixture: dispatch waived on purpose
+  // mmhar: allow(block) — fixture: dispatch waived on purpose
   pool.parallel_for(0, n, [&](std::size_t i) {
     double* q = new double[i + 1];
     (void)q;
@@ -51,7 +51,7 @@ void hot_env() MMHAR_REALTIME {
 
 void hot_suppressed() MMHAR_REALTIME {
   // Grow-once pattern, justified (comma list also covers the delete):
-  // mmhar-rtcheck: allow(alloc, lock) — fixture: cold first-call growth
+  // mmhar: allow(alloc, lock) — fixture: cold first-call growth
   float* w = new float[16];
   (void)w;
 }
@@ -62,7 +62,7 @@ void cold_build() {
 }
 
 void hot_cold_call() MMHAR_REALTIME {
-  // mmhar-rtcheck: allow(calls) — fixture: provably cold first-use path
+  // mmhar: allow(rt-calls) — fixture: provably cold first-use path
   cold_build();
 }
 

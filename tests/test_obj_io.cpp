@@ -2,9 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <iterator>
 #include <sstream>
+#include <string>
 
 #include "common/check.h"
+#include "common/rng.h"
 #include "common/serialize.h"
 #include "mesh/human.h"
 #include "mesh/obj_io.h"
@@ -43,6 +46,55 @@ TEST(ObjIo, RejectsMalformedInput) {
   EXPECT_THROW(read_obj(bad_vertex), IoError);
   std::stringstream zero_index("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 0 1 2\n");
   EXPECT_THROW(read_obj(zero_index), Error);
+  // Face indices that std::stoull would throw on, wrap, or half-accept.
+  for (const char* face : {"f a b c", "f 1 2 123456789012345678901234",
+                           "f -1 2 3", "f 3x 1 2", "f 1 2 +3"}) {
+    std::stringstream bad("v 0 0 0\nv 1 0 0\nv 0 1 0\n" + std::string(face));
+    EXPECT_THROW(read_obj(bad), IoError) << face;
+  }
+}
+
+TEST(ObjIo, MutatedMeshesThrowErrorOrStayInRange) {
+  // ~200 seeded mutants of a valid mesh (truncations, byte flips, junk
+  // tokens): each must either throw mmhar::Error or parse to a mesh whose
+  // face indices are all in range; no other exception may escape.
+  const TriMesh box = make_box({0, 0, 0}, {1, 2, 3}, Material::wood());
+  std::stringstream ss;
+  write_obj(ss, box);
+  const std::string valid = ss.str();
+  const char* const kJunk[] = {"-1", "3x", "abc", "0", "1/2/3", "f", "v",
+                               "99999999999999999999999", "1e999", "\n"};
+  Rng rng(20261019);
+  std::string text;  // hoisted per-mutant scratch
+  for (int i = 0; i < 200; ++i) {
+    text = valid;
+    switch (i % 3) {
+      case 0:
+        text.resize(rng.index(text.size()));
+        break;
+      case 1:
+        for (int k = 0; k < 4; ++k)
+          text[rng.index(text.size())] = static_cast<char>(rng.index(256));
+        break;
+      default:
+        text.insert(rng.index(text.size()),
+                    std::string(" ") + kJunk[rng.index(std::size(kJunk))]);
+    }
+    std::stringstream in(text);
+    try {
+      const TriMesh back = read_obj(in);
+      for (const auto& t : back.triangles()) {
+        EXPECT_LT(t.v0, back.num_vertices()) << "mutant " << i;
+        EXPECT_LT(t.v1, back.num_vertices()) << "mutant " << i;
+        EXPECT_LT(t.v2, back.num_vertices()) << "mutant " << i;
+      }
+    } catch (const Error&) {
+      // Rejected with a diagnosable mmhar error: the contract.
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << i << " escaped as " << e.what() << ":\n"
+                    << text;
+    }
+  }
 }
 
 TEST(ObjIo, SavesSequenceWithNumberedNames) {

@@ -101,7 +101,7 @@ TEST(ThreadPoolStress, ConcurrentExternalCallersShareOnePool) {
 }
 
 TEST(ThreadPoolStress, PerChunkAccumulatorsCombineExactly) {
-  // The race-free accumulation pattern parallel-ref-accum (mmhar_lint)
+  // The race-free accumulation pattern parallel-accum (mmhar_check)
   // pushes users toward: one partial per chunk, combined after the join.
   ThreadPool pool(4);
   const std::size_t n = 10000;

@@ -1,9 +1,8 @@
-// Text utilities shared by the repo's static-analysis tools
-// (mmhar_lint.cpp, mmhar_analyze.cpp, mmhar_rtcheck.cpp).
+// Text utilities under the repo's static checker (tools/mmhar_check).
 //
-// Header-only and dependency-free on purpose: the tools must build and
-// run standalone (a single g++/clang++ invocation, see the CI lint job)
-// even when src/ itself does not compile.
+// Header-only and dependency-free on purpose: the checker must build and
+// run standalone (one g++/clang++ invocation, see the CI lint job) even
+// when src/ itself does not compile.
 #pragma once
 
 #include <algorithm>
@@ -158,27 +157,14 @@ inline std::string blank_template_args(const std::string& s) {
   return out;
 }
 
-// A violation on `idx` (0-based) is suppressed when the offending line or
-// the line above carries `<marker>: allow(<rule>)` — e.g.
-// `// mmhar-lint: allow(loop-alloc) justification...`.
-inline bool is_suppressed(const std::vector<std::string>& raw_lines,
-                          std::size_t idx, const std::string& marker,
-                          const std::string& rule) {
-  const std::string needle = marker + ": allow(" + rule + ")";
-  if (raw_lines[idx].find(needle) != std::string::npos) return true;
-  return idx > 0 && raw_lines[idx - 1].find(needle) != std::string::npos;
-}
-
-// Extended suppression matcher core: `needle` is the literal text opening
-// the rule list — e.g. "mmhar-rtcheck: allow(" or "MMHAR_DETCHECK_ALLOW(".
-// The list may be comma-separated — `allow(throw, alloc) — why` — and the
-// marker line may sit at the top of a run of consecutive //-comment lines
-// directly above the offending line, so one justified comment covers a
-// multi-line statement.
-inline bool suppression_allows_needle(const std::vector<std::string>& raw_lines,
-                                      std::size_t idx,
-                                      const std::string& needle,
-                                      const std::string& rule) {
+// The one suppression syntax: `// mmhar: allow(<rule>[, <rule>...]) <reason>`.
+// It applies to the line that carries it, and from a line in the run of
+// //-comment lines directly above, so one justified comment can cover a
+// multi-line statement. Each listed rule must match exactly: "loc" is
+// neither "lock" nor "alloc".
+inline bool suppressed(const std::vector<std::string>& raw_lines,
+                       std::size_t idx, const std::string& rule) {
+  static const std::string needle = "mmhar: allow(";
   const auto line_allows = [&](const std::string& line) {
     const std::size_t at = line.find(needle);
     if (at == std::string::npos) return false;
@@ -212,14 +198,6 @@ inline bool suppression_allows_needle(const std::vector<std::string>& raw_lines,
   return false;
 }
 
-// Marker-style spelling used by mmhar_rtcheck:
-// `// <marker>: allow(<rule>[, <rule>...]) — why`.
-inline bool suppression_allows(const std::vector<std::string>& raw_lines,
-                               std::size_t idx, const std::string& marker,
-                               const std::string& rule) {
-  return suppression_allows_needle(raw_lines, idx, marker + ": allow(", rule);
-}
-
 // Read a file into lines; false when unreadable.
 inline bool read_lines(const std::filesystem::path& path,
                        std::vector<std::string>& lines) {
@@ -243,8 +221,7 @@ inline std::vector<std::filesystem::path> collect_sources(
       files.push_back(entry.path());
   }
   // Directory iteration order is unspecified; sort on the portable string
-  // form so reports (and baselines keyed on them) are byte-identical
-  // across platforms and filesystems.
+  // form so reports are byte-identical across platforms and filesystems.
   std::sort(files.begin(), files.end(),
             [](const std::filesystem::path& a, const std::filesystem::path& b) {
               return a.generic_string() < b.generic_string();
@@ -254,7 +231,7 @@ inline std::vector<std::filesystem::path> collect_sources(
 
 // Display key for a file under `root`: "<root-basename>/<relative-path>",
 // so multi-root runs ("src", "bench", "tools") stay unambiguous and
-// baseline entries are stable regardless of where the tool runs from.
+// findings read the same regardless of where the checker runs from.
 inline std::string display_path(const std::filesystem::path& root,
                                 const std::filesystem::path& file) {
   const std::string base = root.filename().string();
