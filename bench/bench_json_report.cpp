@@ -10,7 +10,9 @@
 // forward (har::infer_forward, default HarModelConfig) per window at
 // micro-batches of 1, 8 and 48 windows. BM_DetTanh / BM_DetSigmoid are
 // the LSTM gate nonlinearities per element, detmath next to the scalar
-// std:: loop it replaced. Numbers are best-of-N wall time on the current
+// std:: loop it replaced. BM_NoiseFill is the receiver noise of one
+// paper-shape frame (Rng::normal_fill) next to the scalar normal() loop
+// it replaced. Numbers are best-of-N wall time on the current
 // MMHAR_THREADS setting.
 #include <algorithm>
 #include <chrono>
@@ -53,9 +55,10 @@ std::vector<dsp::RadarCube> paper_frames(std::size_t count) {
   frames.reserve(count);
   for (std::size_t f = 0; f < count; ++f) {
     dsp::RadarCube cube(16, 16, 64);
-    for (auto& v : cube.raw())
-      v = dsp::cfloat(static_cast<float>(rng.normal()),
-                      static_cast<float>(rng.normal()));
+    for (auto& v : cube.raw()) {
+      const float im = static_cast<float>(rng.normal());  // drawn first
+      v = dsp::cfloat(static_cast<float>(rng.normal()), im);
+    }
     frames.push_back(std::move(cube));
   }
   return frames;
@@ -184,6 +187,16 @@ int main(int argc, char** argv) {
       synth_s /
       static_cast<double>(gen.config().radar.num_virtual_antennas);
 
+  // Receiver noise for one 16x16x64 frame, two draws per sample.
+  std::vector<float> draws(2 * 16 * 16 * 64);
+  Rng noise_rng(17);
+  const double noise_s = best_seconds(200, [&] {
+    noise_rng.normal_fill(0.02, draws.data(), draws.size());
+  });
+  const double noise_scalar_s = best_seconds(200, [&] {
+    for (float& v : draws) v = static_cast<float>(noise_rng.normal(0.0, 0.02));
+  });
+
   // Batched-FFT DSP pipeline at paper dimensions (32 frames of
   // 16 chirps x 16 antennas x 64 samples), log-scaled DRAI sequence.
   const auto frames = paper_frames(32);
@@ -246,6 +259,8 @@ int main(int argc, char** argv) {
                "  \"pool_threads\": %zu,\n"
                "  \"BM_Gemm/256\": {\"seconds\": %.6e, \"gflops\": %.3f},\n"
                "  \"BM_IfSynthesisPerAntenna\": {\"s_per_antenna\": %.6e},\n"
+               "  \"BM_NoiseFill\": {\"seconds\": %.6e, "
+               "\"scalar_reference_seconds\": %.6e},\n"
                "  \"BM_RangeFft\": {\"seconds\": %.6e},\n"
                "  \"BM_DraiFrame\": {\"seconds\": %.6e},\n"
                "  \"BM_DraiSequence32\": {\"seconds\": %.6e, "
@@ -261,18 +276,21 @@ int main(int argc, char** argv) {
                env_int("MMHAR_THREADS", 0),
                std::thread::hardware_concurrency(), global_pool().size(),
                gemm_s, gflops,
-               s_per_antenna, range_fft_s, drai_frame_s, seq_s, seq_scalar_s,
-               seq_speedup, infer1_s, infer8_s, infer48_s, tanh_ns,
-               tanh_std_ns, sigmoid_ns, sigmoid_std_ns);
+               s_per_antenna, noise_s, noise_scalar_s, range_fft_s,
+               drai_frame_s, seq_s, seq_scalar_s, seq_speedup, infer1_s,
+               infer8_s, infer48_s, tanh_ns, tanh_std_ns, sigmoid_ns,
+               sigmoid_std_ns);
   std::fclose(f);
   std::printf(
-      "gemm256: %.3f GFLOP/s   if-synthesis: %.6f s/antenna\n"
+      "gemm256: %.3f GFLOP/s   if-synthesis: %.6f s/antenna   "
+      "noise: %.1f us/frame (scalar %.1f us)\n"
       "range_fft: %.6f s   drai_frame: %.6f s   drai_seq32: %.6f s "
       "(scalar %.6f s, %.1fx)\n"
       "infer_forward per window: batch 1 %.1f us   batch 8 %.1f us   "
       "batch 48 %.1f us\n"
       "tanh %.2f ns/elem (std %.2f)   sigmoid %.2f ns/elem (std %.2f) -> %s\n",
-      gflops, s_per_antenna, range_fft_s, drai_frame_s, seq_s, seq_scalar_s,
+      gflops, s_per_antenna, noise_s * 1e6, noise_scalar_s * 1e6,
+      range_fft_s, drai_frame_s, seq_s, seq_scalar_s,
       seq_speedup, infer1_s * 1e6, infer8_s * 1e6, infer48_s * 1e6, tanh_ns,
       tanh_std_ns, sigmoid_ns, sigmoid_std_ns, out_path);
   return 0;

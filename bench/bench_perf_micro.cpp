@@ -6,7 +6,9 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <vector>
 
+#include "common/rng.h"
 #include "dsp/heatmap.h"
 #include "har/generator.h"
 #include "har/infer.h"
@@ -29,9 +31,10 @@ void BM_Fft(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   Rng rng(1);
   std::vector<dsp::cfloat> data(n);
-  for (auto& v : data)
-    v = dsp::cfloat(static_cast<float>(rng.normal()),
-                    static_cast<float>(rng.normal()));
+  for (auto& v : data) {
+    const float im = static_cast<float>(rng.normal());  // drawn first
+    v = dsp::cfloat(static_cast<float>(rng.normal()), im);
+  }
   for (auto _ : state) {
     dsp::fft_inplace(data);
     benchmark::DoNotOptimize(data.data());
@@ -105,6 +108,22 @@ void BM_IfSynthesisPerAntenna(benchmark::State& state) {
 }
 BENCHMARK(BM_IfSynthesisPerAntenna)->Unit(benchmark::kMillisecond)->UseRealTime();
 
+// Receiver noise for one paper-shape frame (16 chirps x 16 antennas x 64
+// samples, two draws per sample): the Rng::normal_fill call
+// Simulator::synthesize makes per frame.
+void BM_NoiseFill(benchmark::State& state) {
+  Rng rng(17);
+  std::vector<float> draws(2 * 16 * 16 * 64);
+  for (auto _ : state) {
+    rng.normal_fill(0.02, draws.data(), draws.size());
+    benchmark::DoNotOptimize(draws.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(draws.size()));
+}
+BENCHMARK(BM_NoiseFill);
+
 void BM_DraiPipeline(benchmark::State& state) {
   const har::SampleGenerator gen(bench_generator_config());
   const auto cubes = gen.generate_cubes(har::SampleSpec{});
@@ -124,9 +143,10 @@ std::vector<dsp::RadarCube> paper_frames(std::size_t count) {
   frames.reserve(count);
   for (std::size_t f = 0; f < count; ++f) {
     dsp::RadarCube cube(16, 16, 64);
-    for (auto& v : cube.raw())
-      v = dsp::cfloat(static_cast<float>(rng.normal()),
-                      static_cast<float>(rng.normal()));
+    for (auto& v : cube.raw()) {
+      const float im = static_cast<float>(rng.normal());  // drawn first
+      v = dsp::cfloat(static_cast<float>(rng.normal()), im);
+    }
     frames.push_back(std::move(cube));
   }
   return frames;

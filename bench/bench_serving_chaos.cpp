@@ -90,9 +90,10 @@ int main() {
         Rng rng(9000 + s);
         dsp::RadarCube cube(cfg.num_chirps, cfg.num_antennas, cfg.num_samples);
         for (std::size_t i = 0; i < per_stream; ++i) {
-          for (dsp::cfloat& v : cube.raw())
-            v = dsp::cfloat(static_cast<float>(rng.uniform(-1.0, 1.0)),
-                            static_cast<float>(rng.uniform(-1.0, 1.0)));
+          for (dsp::cfloat& v : cube.raw()) {
+            const float im = static_cast<float>(rng.uniform(-1.0, 1.0));
+            v = dsp::cfloat(static_cast<float>(rng.uniform(-1.0, 1.0)), im);
+          }
           const Clock::time_point give_up =
               Clock::now() + std::chrono::seconds(60);
           while (!svc.submit_frame(sids[s], cube)) {

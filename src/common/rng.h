@@ -7,6 +7,7 @@
 // lets parallel workers consume randomness without sharing state.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -42,6 +43,14 @@ class Rng {
   /// Normal with given mean and standard deviation.
   double normal(double mean, double stddev);
 
+  /// Writes out[i] == static_cast<float>(normal(0.0, stddev)) for i in call
+  /// order and leaves the generator (spare included) where n scalar calls
+  /// would. Blocks of pairs go through a vectorised Box–Muller whose every
+  /// output is certified to round as the host libm's would; a pair the
+  /// certificate cannot settle is redone by normal()'s own arithmetic
+  /// (DESIGN §6d). Returns the number of pairs redone that way.
+  std::size_t normal_fill(double stddev, float* out, std::size_t n);
+
   /// Uniform integer in [0, n). Requires n > 0.
   std::size_t index(std::size_t n);
 
@@ -61,9 +70,28 @@ class Rng {
   void load(BinaryReader& r);
 
  private:
+  /// The two uniforms behind one Box–Muller pair, u1 in (1e-300, 1).
+  void box_muller_uniforms(double& u1, double& u2);
+
   std::uint64_t s_[4];
   double spare_ = 0.0;
   bool has_spare_ = false;
 };
+
+/// normal_fill's own log and sincos, exposed for their accuracy tests.
+namespace rng_detail {
+
+/// Relative slack the certificate widens r, cos and sin by: it must cover
+/// the own functions' error plus the host libm's (each within 1 ulp).
+inline constexpr double kCertificateSlack = 0x1p-46;
+
+/// log(x) for normal x > 0 (fdlibm e_log.c, branch-free).
+double log(double x);
+
+/// sin and cos of theta in [0, 2*pi] (fdlibm kernels, Cody–Waite
+/// reduction in three steps, branch-free).
+void sincos(double theta, double& s, double& c);
+
+}  // namespace rng_detail
 
 }  // namespace mmhar

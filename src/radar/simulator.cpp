@@ -130,10 +130,8 @@ void tabulate_block(const TxTerms* terms, std::size_t count,
     b.anchor_im[j] = 0.0;
   }
   for (std::size_t n0 = 0; n0 < n_n; n0 += span) {
-    for (std::size_t j = 0; j < count; ++j) {
-      b.w_re[j] = 1.0;
-      b.w_im[j] = 0.0;
-    }
+    std::fill_n(b.w_re, count, 1.0);
+    std::fill_n(b.w_im, count, 0.0);
     for (std::size_t l = 0; l < kPhasorLanes; ++l) {
       for (std::size_t j = 0; j < count; ++j) {
         const double ar = b.anchor_re[j];
@@ -296,12 +294,8 @@ std::vector<Scatterer> Simulator::extract_scatterers(
       v_r = (d2 - d) / frame_dt;
     }
 
-    Candidate c;
-    c.s = Scatterer{p, amp, v_r};
-    c.range = d;
-    c.azimuth = std::atan2(p.y, p.x);
-    c.elevation = std::asin(std::clamp(p.z / d, -1.0, 1.0));
-    candidates.push_back(c);
+    candidates.push_back({Scatterer{p, amp, v_r}, d, std::atan2(p.y, p.x),
+                          std::asin(std::clamp(p.z / d, -1.0, 1.0))});
   }
 
   if (!options_.sector_occlusion) {
@@ -418,10 +412,15 @@ dsp::RadarCube Simulator::synthesize(const std::vector<Scatterer>& scatterers,
   }
 
   if (rng != nullptr && config_.noise_std > 0.0) {
-    const double sigma = config_.noise_std;
-    for (auto& v : cube.raw()) {
-      v += dsp::cfloat(static_cast<float>(rng->normal(0.0, sigma)),
-                       static_cast<float>(rng->normal(0.0, sigma)));
+    // Two draws per sample, the imaginary part's first (DESIGN §6d).
+    constexpr std::size_t kChunk = 1024;  // samples per normal_fill call
+    float draws[2 * kChunk] = {};
+    std::vector<dsp::cfloat>& iq = cube.raw();
+    for (std::size_t i0 = 0; i0 < iq.size(); i0 += kChunk) {
+      const std::size_t m = std::min(kChunk, iq.size() - i0);
+      rng->normal_fill(config_.noise_std, draws, 2 * m);
+      for (std::size_t i = 0; i < m; ++i)
+        iq[i0 + i] += dsp::cfloat(draws[2 * i + 1], draws[2 * i]);
     }
   }
   return cube;

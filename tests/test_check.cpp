@@ -202,40 +202,80 @@ void expect_each_deletion_fails(const std::vector<Site>& sites,
 // ---- Text helpers ----------------------------------------------------------
 
 TEST(CodeOnly, StripsLineCommentsAndBlanksStringContents) {
-  bool in_block = false;
+  LexState state;
   const std::string out =
-      code_only("x = \"new int\"; // naked new here", in_block);
+      code_only("x = \"new int\"; // naked new here", state);
   EXPECT_EQ(out.find("new"), std::string::npos) << out;
   EXPECT_EQ(out.find("naked"), std::string::npos) << out;
   // Positions survive: the statement's structure is intact.
   EXPECT_NE(out.find("x ="), std::string::npos) << out;
   EXPECT_NE(out.find(';'), std::string::npos) << out;
-  EXPECT_FALSE(in_block);
+  EXPECT_FALSE(state.in_block_comment);
 }
 
 TEST(CodeOnly, BlockCommentStateCarriesAcrossLines) {
-  bool in_block = false;
-  EXPECT_EQ(trim(code_only("a(); /* begin", in_block)), "a();");
-  EXPECT_TRUE(in_block);
-  EXPECT_EQ(trim(code_only("still a comment: new int[4];", in_block)), "");
-  EXPECT_TRUE(in_block);
-  EXPECT_EQ(trim(code_only("end */ b();", in_block)), "b();");
-  EXPECT_FALSE(in_block);
+  LexState state;
+  EXPECT_EQ(trim(code_only("a(); /* begin", state)), "a();");
+  EXPECT_TRUE(state.in_block_comment);
+  EXPECT_EQ(trim(code_only("still a comment: new int[4];", state)), "");
+  EXPECT_TRUE(state.in_block_comment);
+  EXPECT_EQ(trim(code_only("end */ b();", state)), "b();");
+  EXPECT_FALSE(state.in_block_comment);
 }
 
 TEST(CodeOnly, CharLiteralContentIsBlanked) {
-  bool in_block = false;
-  const std::string out = code_only("if (c == '{') depth++;", in_block);
+  LexState state;
+  const std::string out = code_only("if (c == '{') depth++;", state);
   EXPECT_EQ(out.find('{'), std::string::npos) << out;
   EXPECT_NE(out.find("depth++"), std::string::npos) << out;
 }
 
+TEST(CodeOnly, RawStringQuotesDoNotFlipTheStringState) {
+  // The include regex of callgraph.cpp: an ordinary-string reading sees
+  // three quotes and leaves the rest of the line inside a string.
+  LexState state;
+  const std::string out = code_only(
+      R"x(static const std::regex re(R"(^\s*#\s*include\s+"([^"]+)\")"); f(); // g()")x",
+      state);
+  EXPECT_EQ(out.find("include"), std::string::npos) << out;
+  EXPECT_NE(out.find("f();"), std::string::npos) << out;
+  EXPECT_EQ(out.find("g()"), std::string::npos) << out;
+  EXPECT_TRUE(state.raw_close.empty());
+}
+
+TEST(CodeOnly, RawStringWithDelimiterSpansLines) {
+  LexState state;
+  EXPECT_EQ(trim(code_only("auto s = u8R\"re(first \" line", state)),
+            "auto s = u8R");
+  EXPECT_EQ(state.raw_close, ")re\"");
+  // Neither a quote, a ')"' without the delimiter nor a comment opener
+  // ends it.
+  EXPECT_EQ(trim(code_only("\"( new int )\" // /*", state)), "");
+  EXPECT_EQ(trim(code_only("last )re\"; next();", state)), "; next();");
+  EXPECT_TRUE(state.raw_close.empty());
+  EXPECT_FALSE(state.in_block_comment);
+}
+
+TEST(CodeOnly, IdentifierEndingInRIsNotARawPrefix) {
+  LexState state;
+  const std::string out = code_only("FOOR\"(x\" y(1);", state);
+  EXPECT_TRUE(state.raw_close.empty());
+  EXPECT_NE(out.find("y(1);"), std::string::npos) << out;
+}
+
 TEST(CodeKeepingStrings, LiteralsSurviveButCommentsDie) {
-  bool in_block = false;
+  LexState state;
   const std::string out = code_keeping_strings(
-      "env_int(\"MMHAR_KNOB\", 3); // getenv(\"MMHAR_FAKE\")", in_block);
+      "env_int(\"MMHAR_KNOB\", 3); // getenv(\"MMHAR_FAKE\")", state);
   EXPECT_NE(out.find("\"MMHAR_KNOB\""), std::string::npos) << out;
   EXPECT_EQ(out.find("MMHAR_FAKE"), std::string::npos) << out;
+}
+
+TEST(CodeKeepingStrings, RawStringSurvivesVerbatim) {
+  LexState state;
+  const std::string line = R"x(re(R"re({"(MMHAR_\w+)"})re"); // x)x";
+  EXPECT_EQ(code_keeping_strings(line, state),
+            R"x(re(R"re({"(MMHAR_\w+)"})re"); )x");
 }
 
 TEST(Trim, BothEndsAndAllWhitespaceCases) {
@@ -363,7 +403,7 @@ TEST(DisplayPath, PrefixedWithRootBasename) {
 
 TEST(LintFixtures, FindsEverySeededViolationAtExactLines) {
   const Inputs in = fixture("lint");
-  EXPECT_EQ(in.files.size(), 3u);
+  EXPECT_EQ(in.files.size(), 4u);
   const auto found = family(check_ok(in).findings, "lint");
   EXPECT_EQ(keys(found), (std::vector<std::string>{
                              "src/bad.cpp:14: [banned-rng]",
@@ -372,6 +412,10 @@ TEST(LintFixtures, FindsEverySeededViolationAtExactLines) {
                              "src/bad.cpp:18: [loop-alloc]",
                              "src/bad.cpp:21: [naked-cache-write]",
                              "src/bad_header.h:1: [missing-pragma-once]",
+                             // After two raw strings whose quotes and
+                             // unclosed paren an ordinary-string reading
+                             // would take for code.
+                             "src/raw_string.cpp:14: [loop-alloc]",
                          }))
       << render(found);
 }
@@ -739,7 +783,7 @@ Inputs det_fixture() {
 
 TEST(DetFixtures, FindsEverySeededViolationAtExactLines) {
   const Inputs in = det_fixture();
-  EXPECT_EQ(in.files.size(), 4u);
+  EXPECT_EQ(in.files.size(), 5u);
   const Report report = check_ok(in);
   const auto found = family(report.findings, "det");
   std::vector<std::string> expected = {
@@ -752,6 +796,8 @@ TEST(DetFixtures, FindsEverySeededViolationAtExactLines) {
       "src/det_bad.cpp:32: [det-env-read]",
       "src/det_bad.cpp:38: [parallel-accum]",
       "src/det_bad.cpp:48: [det-root-coverage]",
+      "src/draws.cpp:7: [unsequenced-draw]",
+      "src/draws.cpp:12: [unsequenced-draw]",
   };
   std::sort(expected.begin(), expected.end());
   std::vector<std::string> got = keys(found);
@@ -780,7 +826,7 @@ TEST(DetFixtures, FindsEverySeededViolationAtExactLines) {
                            "'fixture::renamed_root' names no function"})
     EXPECT_NE(text.find(e), std::string::npos) << "missing: " << e << "\n"
                                                << text;
-  EXPECT_EQ(report.functions, 10u);
+  EXPECT_EQ(report.functions, 17u);
   EXPECT_EQ(report.det.roots, 6u);
   EXPECT_EQ(report.det.reachable, 8u);
 }
@@ -794,6 +840,47 @@ TEST(DetFixtures, SuppressedUnreachedAndDownwardIncludesStaySilent) {
   EXPECT_EQ(text.find("det_bad.cpp:45"), std::string::npos) << text;
   EXPECT_EQ(text.find("never_reached_nondet"), std::string::npos) << text;
   EXPECT_EQ(text.find("src/serving/api.h:"), std::string::npos) << text;
+}
+
+TEST(DetFixtures, UnsequencedDrawCountsOneArgumentList) {
+  // draws.cpp:7 holds two draws as two arguments; :12 one draw beside a
+  // call that draws. Braces (:16), named locals (:20-22), a lambda body
+  // (:26), a condition (:30) and the allow at :35 stay silent.
+  const std::string text =
+      render(family(check_ok(det_fixture()).findings, "det"));
+  EXPECT_NE(text.find("src/draws.cpp:7: [unsequenced-draw] 2 Rng draws in "
+                      "one argument list"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("src/draws.cpp:12: [unsequenced-draw] 2 Rng draws"),
+            std::string::npos)
+      << text;
+  for (const char* line : {":16:", ":20:", ":21:", ":22:", ":26:", ":30:",
+                           ":36:"})
+    EXPECT_EQ(text.find(std::string("src/draws.cpp") + line),
+              std::string::npos)
+        << line << "\n" << text;
+}
+
+TEST(DetRealTree, UnsequencedNoiseDrawIsFound) {
+  // The receiver-noise draw as it was once written in synthesize: two
+  // draws as the two arguments of one cfloat.
+  const std::string draw =
+      "  cube.raw()[0] += dsp::cfloat(static_cast<float>(rng->normal(0.0, "
+      "0.02)), static_cast<float>(rng->normal(0.0, 0.02)));";
+  const std::size_t idx = real_file("src/radar/simulator.cpp");
+  std::vector<std::string> raw = insert_into_body(
+      real_tree().files[idx].raw, "dsp::RadarCube Simulator::synthesize",
+      draw);
+  const auto line = std::find(raw.begin(), raw.end(), draw) - raw.begin() + 1;
+  const std::vector<FileScan> files = with_file(idx, std::move(raw));
+  std::vector<Finding> found;
+  check_det(CallGraph(files), found);
+  EXPECT_EQ(keys(found),
+            (std::vector<std::string>{"src/radar/simulator.cpp:" +
+                                      std::to_string(line) +
+                                      ": [unsequenced-draw]"}))
+      << render(found);
 }
 
 TEST(DetRealTree, PipelineIsDeterminismCleanWithEnoughRoots) {

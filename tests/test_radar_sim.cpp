@@ -412,8 +412,11 @@ dsp::RadarCube reference_synthesize(const FmcwConfig& config_,
   if (rng != nullptr && config_.noise_std > 0.0) {
     const double sigma = config_.noise_std;
     for (auto& v : cube.raw()) {
-      v += dsp::cfloat(static_cast<float>(rng->normal(0.0, sigma)),
-                       static_cast<float>(rng->normal(0.0, sigma)));
+      // The first draw is the imaginary part: the order GCC gave the
+      // unsequenced cfloat(normal(), normal()) the pinned hashes come from.
+      const float im = static_cast<float>(rng->normal(0.0, sigma));
+      const float re = static_cast<float>(rng->normal(0.0, sigma));
+      v += dsp::cfloat(re, im);
     }
   }
   return cube;

@@ -14,57 +14,84 @@
 
 namespace mmhar_tools {
 
-// Strip // and /* */ comments; string and char literal *contents* are
-// blanked (the quotes' positions are preserved as spaces) so rule regexes
-// never fire on prose. Block-comment state carries across lines via
-// `in_block_comment`.
-inline std::string code_only(const std::string& line, bool& in_block_comment) {
+// What carries from one line to the next while stripping a file: an open
+// block comment, or an open raw string literal R"delim( ... )delim".
+struct LexState {
+  bool in_block_comment = false;
+  std::string raw_close;  // `)delim"` inside a raw string; empty outside
+};
+
+// True when the '"' at `quote` opens a raw string literal: it follows R,
+// u8R, uR, UR or LR as a whole token.
+inline bool opens_raw_string(const std::string& line, std::size_t quote) {
+  if (quote == 0 || line[quote - 1] != 'R') return false;
+  std::size_t b = quote - 1;
+  while (b > 0 && (std::isalnum(static_cast<unsigned char>(line[b - 1])) ||
+                   line[b - 1] == '_'))
+    --b;
+  const std::string prefix = line.substr(b, quote - b);
+  return prefix == "R" || prefix == "u8R" || prefix == "uR" ||
+         prefix == "UR" || prefix == "LR";
+}
+
+// One line with comments removed. Literal contents (ordinary, character
+// and raw strings) are kept with `keep_strings`, else blanked to spaces;
+// `state` carries block comments and raw strings across lines.
+inline std::string strip_line(const std::string& line, LexState& state,
+                              bool keep_strings) {
   std::string out;
   out.reserve(line.size());
-  bool in_string = false;
-  bool in_char = false;
+  const auto literal = [&](char c) { out.push_back(keep_strings ? c : ' '); };
+  char quote = '\0';  // the open ordinary literal's quote character
   for (std::size_t i = 0; i < line.size(); ++i) {
     const char c = line[i];
     const char next = i + 1 < line.size() ? line[i + 1] : '\0';
-    if (in_block_comment) {
+    if (state.in_block_comment) {
       if (c == '*' && next == '/') {
-        in_block_comment = false;
+        state.in_block_comment = false;
         ++i;
       }
       continue;
     }
-    if (in_string) {
-      if (c == '\\') {
-        ++i;
-      } else if (c == '"') {
-        in_string = false;
+    if (!state.raw_close.empty()) {
+      if (line.compare(i, state.raw_close.size(), state.raw_close) == 0) {
+        for (const char r : state.raw_close) literal(r);
+        i += state.raw_close.size() - 1;
+        state.raw_close.clear();
+      } else {
+        literal(c);
       }
-      out.push_back(' ');
       continue;
     }
-    if (in_char) {
+    if (quote != '\0') {
+      literal(c);
       if (c == '\\') {
+        if (keep_strings && i + 1 < line.size()) out.push_back(next);
         ++i;
-      } else if (c == '\'') {
-        in_char = false;
+      } else if (c == quote) {
+        quote = '\0';
       }
-      out.push_back(' ');
       continue;
     }
     if (c == '/' && next == '/') break;
     if (c == '/' && next == '*') {
-      in_block_comment = true;
+      state.in_block_comment = true;
       ++i;
       continue;
     }
-    if (c == '"') {
-      in_string = true;
-      out.push_back(' ');
-      continue;
+    if (c == '"' && opens_raw_string(line, i)) {
+      // The delimiter is at most 16 characters before the '('.
+      const std::size_t open = line.find('(', i + 1);
+      if (open != std::string::npos && open - i - 1 <= 16) {
+        state.raw_close = ")" + line.substr(i + 1, open - i - 1) + "\"";
+        for (std::size_t j = i; j <= open; ++j) literal(line[j]);
+        i = open;
+        continue;
+      }
     }
-    if (c == '\'') {
-      in_char = true;
-      out.push_back(' ');
+    if (c == '"' || c == '\'') {
+      quote = c;
+      literal(c);
       continue;
     }
     out.push_back(c);
@@ -72,55 +99,17 @@ inline std::string code_only(const std::string& line, bool& in_block_comment) {
   return out;
 }
 
-// As code_only, but string-literal contents survive — used where a rule
-// must read names out of literals (env-var call sites, registry rows).
+// Strip // and /* */ comments; literal *contents* are blanked (the quotes'
+// positions are preserved as spaces) so rule regexes never fire on prose.
+inline std::string code_only(const std::string& line, LexState& state) {
+  return strip_line(line, state, false);
+}
+
+// As code_only, but literal contents survive — used where a rule must read
+// names out of literals (env-var call sites, registry rows).
 inline std::string code_keeping_strings(const std::string& line,
-                                        bool& in_block_comment) {
-  std::string out;
-  out.reserve(line.size());
-  bool in_string = false;
-  bool in_char = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    const char next = i + 1 < line.size() ? line[i + 1] : '\0';
-    if (in_block_comment) {
-      if (c == '*' && next == '/') {
-        in_block_comment = false;
-        ++i;
-      }
-      continue;
-    }
-    if (in_string) {
-      out.push_back(c);
-      if (c == '\\' && i + 1 < line.size()) {
-        out.push_back(next);
-        ++i;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    if (in_char) {
-      out.push_back(c);
-      if (c == '\\' && i + 1 < line.size()) {
-        out.push_back(next);
-        ++i;
-      } else if (c == '\'') {
-        in_char = false;
-      }
-      continue;
-    }
-    if (c == '/' && next == '/') break;
-    if (c == '/' && next == '*') {
-      in_block_comment = true;
-      ++i;
-      continue;
-    }
-    if (c == '"') in_string = true;
-    if (c == '\'') in_char = true;
-    out.push_back(c);
-  }
-  return out;
+                                        LexState& state) {
+  return strip_line(line, state, true);
 }
 
 // Trim ASCII whitespace from both ends.

@@ -231,13 +231,13 @@ class Scanner {
   explicit Scanner(FileScan& out) : out_(out) {}
 
   void scan() {
-    bool in_block = false;
-    bool in_block2 = false;
+    LexState code_state;
+    LexState strings_state;
     out_.code.reserve(out_.raw.size());
     out_.code_strings.reserve(out_.raw.size());
     for (const auto& l : out_.raw) {
-      out_.code.push_back(code_only(l, in_block));
-      out_.code_strings.push_back(code_keeping_strings(l, in_block2));
+      out_.code.push_back(code_only(l, code_state));
+      out_.code_strings.push_back(code_keeping_strings(l, strings_state));
     }
     index_lines();
     walk_scopes();

@@ -73,11 +73,11 @@ struct Row {
 std::vector<Row> registry_rows(const TextFile& registry) {
   static const std::regex row_re(R"re(\{\s*"(MMHAR_\w+)"\s*,)re");
   std::vector<Row> rows;
-  bool in_block = false;
+  LexState state;
   std::string code;  // hoisted per-line scratch
   std::smatch m;
   for (std::size_t i = 0; i < registry.raw.size(); ++i) {
-    code = code_keeping_strings(registry.raw[i], in_block);
+    code = code_keeping_strings(registry.raw[i], state);
     if (std::regex_search(code, m, row_re)) rows.push_back({m[1].str(), i + 1});
   }
   return rows;
@@ -419,6 +419,7 @@ class DetChecker {
 
   void rule_layering();
   void rule_parallel_accum();
+  void rule_unsequenced_draw();
   void scan_unordered_iter(const FnRecord& fn, const FileScan& file,
                            const std::string& line, std::size_t ln,
                            const std::string& chain);
@@ -432,6 +433,7 @@ class DetChecker {
 Cone DetChecker::run() {
   rule_layering();
   rule_parallel_accum();
+  rule_unsequenced_draw();
   const auto& functions = graph_.functions();
   std::string chain;  // hoisted per-function scratch
   for (const auto& [id, via] : reach_.via()) {
@@ -613,6 +615,85 @@ void DetChecker::rule_parallel_accum() {
   }
 }
 
+// unsequenced-draw: two or more Rng draws in one parenthesised argument
+// list. C++ leaves the evaluation order of a call's arguments
+// unspecified, so which argument receives which draw is the compiler's
+// choice (GCC evaluates right to left). A nested call counts as one unit
+// of its enclosing list (its own list is checked on its own), and a brace
+// stops the count: a braced initialiser is evaluated in order, and a
+// lambda body is not evaluated at the call. Operators inside one
+// argument are not read: `a() && b()` is sequenced and `a() + b()` is
+// not, and both count. File-granular, like parallel-accum.
+void DetChecker::rule_unsequenced_draw() {
+  static const std::set<std::string> draws = {
+      "normal", "uniform", "next_u64", "index", "bernoulli"};
+  static const std::set<std::string> not_calls = {
+      "if", "for", "while", "switch", "return", "catch", "sizeof",
+      "alignof", "decltype", "noexcept", "static_assert"};
+  struct Open {
+    char bracket;     // '(' or '{'
+    bool call;        // a call's argument list
+    bool draw;        // the argument list of an Rng draw
+    std::size_t line;
+    int units = 0;    // draws and drawing calls directly inside
+  };
+  std::vector<Open> stack;
+  std::string name;  // hoisted per-paren scratch
+  for (const FileScan& file : graph_.files()) {
+    stack.clear();
+    for (std::size_t i = 0; i < file.code.size(); ++i) {
+      const std::string& l = file.code[i];
+      const std::size_t first = l.find_first_not_of(" \t");
+      if (first != std::string::npos && l[first] == '#') continue;
+      for (std::size_t c = 0; c < l.size(); ++c) {
+        if (l[c] == '{') {
+          stack.push_back({'{', false, false, i + 1});
+        } else if (l[c] == '(') {
+          // The token before the paren: a name (after `.` or `->` for a
+          // member call), or a closing bracket of a callable expression.
+          std::size_t e = c;
+          while (e > 0 && std::isspace(static_cast<unsigned char>(l[e - 1])))
+            --e;
+          std::size_t b = e;
+          while (b > 0 && (std::isalnum(static_cast<unsigned char>(l[b - 1])) ||
+                           l[b - 1] == '_'))
+            --b;
+          name.assign(l, b, e - b);
+          std::size_t m = b;
+          while (m > 0 && std::isspace(static_cast<unsigned char>(l[m - 1])))
+            --m;
+          const bool member = (m >= 1 && l[m - 1] == '.') ||
+                              (m >= 2 && l.compare(m - 2, 2, "->") == 0);
+          const bool call =
+              name.empty()
+                  ? e > 0 && (l[e - 1] == ')' || l[e - 1] == ']' ||
+                              l[e - 1] == '>')
+                  : !std::isdigit(static_cast<unsigned char>(name[0])) &&
+                        !not_calls.count(name);
+          stack.push_back({'(', call, member && draws.count(name) > 0, i + 1});
+        } else if ((l[c] == ')' || l[c] == '}') && !stack.empty()) {
+          const Open closed = stack.back();
+          stack.pop_back();
+          if (closed.call && closed.units >= 2 &&
+              !allows(file, closed.line, "unsequenced-draw"))
+            out_.push_back(
+                {"unsequenced-draw", file.path, closed.line,
+                 std::to_string(closed.units) +
+                     " Rng draws in one argument list — C++ leaves the "
+                     "order of argument evaluation unspecified, so which "
+                     "argument gets which draw is the compiler's choice; "
+                     "draw into named locals first",
+                 ""});
+          if (stack.empty() || closed.bracket == '{') continue;
+          stack.back().units += closed.call
+                                    ? (closed.draw || closed.units > 0 ? 1 : 0)
+                                    : closed.units;
+        }
+      }
+    }
+  }
+}
+
 void DetChecker::scan_unordered_iter(const FnRecord& fn, const FileScan& file,
                                      const std::string& line, std::size_t ln,
                                      const std::string& chain) {
@@ -651,7 +732,7 @@ const char* family_of(const std::string& rule) {
       {"unordered-iter", "det"},       {"nondet-call", "det"},
       {"parallel-accum", "det"},       {"det-env-read", "det"},
       {"det-root-coverage", "det"},    {"layering", "det"},
-      {"det-calls", "det"}};
+      {"unsequenced-draw", "det"},     {"det-calls", "det"}};
   const auto it = families.find(rule);
   return it == families.end() ? "" : it->second;
 }

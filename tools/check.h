@@ -11,7 +11,8 @@
 //            rt-env-read, rt-root-coverage);
 //   det      the determinism cone of the MMHAR_DETERMINISTIC roots
 //            (unordered-iter, nondet-call, parallel-accum, det-env-read,
-//            det-root-coverage) plus the module DAG (layering).
+//            det-root-coverage), unsequenced Rng draws in one argument
+//            list (unsequenced-draw) and the module DAG (layering).
 //
 // Rule names are unique across families. The one suppression syntax is
 // `// mmhar: allow(<rule>[, <rule>...]) <reason>` (analysis_text.h); the
