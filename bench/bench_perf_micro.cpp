@@ -199,19 +199,6 @@ har::HarModelConfig bench_model_config() {
   return mc;
 }
 
-void BM_ModelForward(benchmark::State& state) {
-  har::HarModel model(bench_model_config());
-  Rng rng(3);
-  const Tensor batch = Tensor::rand_uniform({8, 32, 32, 32}, rng, 0.0F, 1.0F);
-  for (auto _ : state) {
-    auto logits = model.forward(batch, false);
-    benchmark::DoNotOptimize(logits.data());
-  }
-  state.counters["samples/s"] = benchmark::Counter(
-      8.0 * state.iterations(), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_ModelForward)->Unit(benchmark::kMillisecond)->UseRealTime();
-
 void BM_ModelTrainStep(benchmark::State& state) {
   har::HarModel model(bench_model_config());
   Rng rng(4);

@@ -75,33 +75,6 @@ har::Dataset load_or_build_triggered_twins(
   return twins;
 }
 
-std::vector<std::size_t> choose_poison_frames(
-    har::HarModel& surrogate, const har::Dataset& train,
-    const PoisonConfig& config, const xai::ShapConfig& shap_config,
-    std::size_t reference_samples) {
-  const std::size_t frames = surrogate.config().frames;
-  MMHAR_REQUIRE(config.poisoned_frames >= 1 &&
-                    config.poisoned_frames <= frames,
-                "poisoned_frames out of range");
-
-  if (config.frame_selection == FrameSelection::FirstK) {
-    std::vector<std::size_t> first(config.poisoned_frames);
-    for (std::size_t i = 0; i < first.size(); ++i) first[i] = i;
-    return first;
-  }
-
-  auto victim_indices = train.indices_of_label(config.victim_label);
-  MMHAR_REQUIRE(!victim_indices.empty(),
-                "no victim samples with label " << config.victim_label);
-  if (victim_indices.size() > reference_samples)
-    victim_indices.resize(reference_samples);
-
-  xai::FrameImportance importance(surrogate, shap_config);
-  const auto mean_abs = importance.mean_abs_shap(train, victim_indices,
-                                                 config.victim_label);
-  return xai::top_k_by_magnitude(mean_abs, config.poisoned_frames);
-}
-
 PoisonResult poison_dataset(const har::Dataset& train,
                             const har::Dataset& triggered_twins,
                             const PoisonConfig& config,

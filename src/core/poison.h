@@ -11,8 +11,7 @@
 #include <vector>
 
 #include "har/dataset.h"
-#include "har/model.h"
-#include "xai/frame_importance.h"
+#include "har/generator.h"
 
 namespace mmhar::core {
 
@@ -48,14 +47,6 @@ har::Dataset load_or_build_triggered_twins(
     const har::SampleGenerator& generator, const har::DatasetConfig& config,
     std::size_t victim_label, const har::TriggerPlacement& placement,
     std::string cache_dir = "");
-
-/// Choose the poisoning frames for a victim activity: SHAP top-k averaged
-/// over up to `reference_samples` victim samples (or simply 0..k-1 for
-/// FrameSelection::FirstK).
-std::vector<std::size_t> choose_poison_frames(
-    har::HarModel& surrogate, const har::Dataset& train,
-    const PoisonConfig& config, const xai::ShapConfig& shap_config,
-    std::size_t reference_samples = 3);
 
 /// Assemble the poisoned training set: for `injection_rate` of the victim
 /// samples, splice the chosen frames from the matching triggered twin and

@@ -4,6 +4,8 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "common/finite_check.h"
+#include "har/infer.h"
 
 namespace mmhar::core {
 
@@ -17,6 +19,15 @@ TriggerPositionOptimizer::evaluate_all(const har::SampleSpec& spec,
                                        const mesh::TriggerSpec& trigger) const {
   const auto& mc = surrogate_.config();
   const std::size_t frames = mc.frames;
+  const har::InferencePlan plan = har::build_inference_plan(surrogate_);
+  har::InferenceScratch scratch;
+  const auto features_of = [&](const Tensor& heatmaps) {  // l_θ: [T, F]
+    MMHAR_CHECK(heatmaps.size() == frames * mc.height * mc.width);
+    Tensor f({frames, mc.feature_dim});
+    har::infer_features(plan, scratch, heatmaps.data(), frames, f.data());
+    check_finite(f.flat(), "features", "position search");
+    return f;
+  };
 
   // Clean reference: heatmaps, per-frame features, and range profiles.
   // generate_views reuses one Range-FFT pass per frame for both the DRAI
@@ -24,7 +35,7 @@ TriggerPositionOptimizer::evaluate_all(const har::SampleSpec& spec,
   const har::SampleViews clean_views = generator_.generate_views(spec);
   const Tensor& clean = clean_views.heatmaps;
   MMHAR_CHECK(clean.dim(0) == frames);
-  const Tensor clean_features = surrogate_.frame_features(clean);
+  const Tensor clean_features = features_of(clean);
   std::vector<Tensor> clean_profiles;
   clean_profiles.reserve(frames);
   for (std::size_t t = 0; t < frames; ++t)
@@ -43,7 +54,7 @@ TriggerPositionOptimizer::evaluate_all(const har::SampleSpec& spec,
 
     const har::SampleViews views = generator_.generate_views(spec, &placement);
     const Tensor& triggered = views.heatmaps;
-    const Tensor triggered_features = surrogate_.frame_features(triggered);
+    const Tensor triggered_features = features_of(triggered);
 
     AnchorEvaluation e;
     e.anchor = anchor;

@@ -1,31 +1,25 @@
-// Zero-allocation micro-batched inference for the CNN-LSTM classifier.
+// The one eval-mode forward of the CNN-LSTM classifier: serving, offline
+// evaluation, the training loop's validation, SHAP frame scoring (Eq. 1)
+// and the trigger-position objective (Eq. 2) all run it. HarModel::forward
+// is the training graph (per-layer allocations, activation caches,
+// per-call weight packing); with training=false it is the reference this
+// forward is tested against, bit for bit.
 //
-// HarModel::forward is built for training: every layer allocates output
-// tensors, caches activations for backward, and re-packs its weights per
-// call. The serving path cannot afford any of that, so inference is split
-// into two pieces with a strict ownership boundary:
+//  * `InferencePlan` — immutable after build_inference_plan(): the weights
+//    pre-packed for the GEMM kernels (conv weights as PackedA tiles,
+//    Dense/LSTM/head weights as PackedB panels), the biases, and the frame
+//    CNN's geometry (model.h). Shared by any number of threads.
+//  * `InferenceScratch` — per-caller, grow-once working buffers; once
+//    reserved, a forward performs zero heap allocations.
 //
-//  * `InferencePlan` — immutable after build_inference_plan(): the model's
-//    weights snapshotted into pre-packed GEMM operand layouts (conv
-//    weights as PackedA tiles, Dense/LSTM/head weights as PackedB panels)
-//    plus copied biases and the two conv geometries. One plan is shared by
-//    any number of concurrent consumers without synchronization.
-//  * `InferenceScratch` — per-caller, grow-once working buffers. After
-//    reserve() (or one warm-up call) a forward performs zero heap
-//    allocations.
-//
-// The CNN runs one frame at a time: conv1 -> ReLU -> conv2 -> ReLU ->
-// 2x2 pool into that frame's row of `pooled`. Both convs go through
-// conv2d_frame, the kernel Conv2D::forward itself calls, so each conv
-// GEMM sees the same B-panel image, weight tiles and K order as the
-// training model. The feature Dense then runs over every frame of the
-// batch at once, followed by the LSTM and the head — the same GEMM
-// kernels as nn::Dense and nn::LSTM, and nn::LSTM's own cell update
-// (nn::lstm_cell: one vectorised detmath sigmoid/tanh pass per gate
-// block, then c and h). No kernel here has a batch-size-dependent path
-// and every output row's arithmetic is independent of the other rows, so
-// the logits are bit-identical to HarModel::forward(…, training=false)
-// for any micro-batch composition.
+// infer_features is the CNN l_θ, one frame at a time (conv1 -> ReLU ->
+// conv2 -> ReLU -> 2x2 pool, both convs through conv2d_frame, the kernel
+// Conv2D::forward calls), then the feature Dense over all the call's
+// frames. infer_classify is the LSTM (nn::lstm_cell, the cell update
+// nn::LSTM::forward calls) and the head. infer_forward runs both. No
+// kernel has a batch-size-dependent path and no output row depends on
+// another, so the outputs are bit-identical to HarModel::forward(…,
+// training=false) for any batch composition.
 //
 // Scratch size. With o1 = h1*w1 and o2 = h2*w2 the conv output cells,
 // B1/B2 the conv geometries' bordered_floats() and P1/P2 their
@@ -47,12 +41,11 @@ namespace mmhar::har {
 /// Immutable pre-packed weight snapshot plus derived geometry.
 struct InferencePlan {
   HarModelConfig config;
+  FrameCnnGeometry cnn;        ///< frame_cnn_geometry(config)
 
-  ConvGeometry conv1;          ///< 1 -> c1, 5x5 stride 2 pad 2
-  PackedA conv1_w;             ///< [c1, 1*5*5] in A-tile layout
+  PackedA conv1_w;             ///< [c1, cnn.conv1.fan_in()], A-tile layout
   std::vector<float> conv1_b;
-  ConvGeometry conv2;          ///< c1 -> c2, 3x3 stride 2 pad 1
-  PackedA conv2_w;             ///< [c2, c1*3*3] in A-tile layout
+  PackedA conv2_w;             ///< [c2, cnn.conv2.fan_in()], A-tile layout
   std::vector<float> conv2_b;
   PackedB fc_w;                ///< feature Dense, packed from [F, spatial]
   std::vector<float> fc_b;
@@ -61,18 +54,13 @@ struct InferencePlan {
   std::vector<float> lstm_b;
   PackedB head_w;              ///< packed from [C, H]
   std::vector<float> head_b;
-
-  // Pooling geometry derived from config (conv2 output -> 2x2 pool).
-  std::size_t h2 = 0, w2 = 0;  ///< after conv2
-  std::size_t hp = 0, wp = 0;  ///< after pooling
-  std::size_t spatial = 0;     ///< flattened CNN output, hp*wp*c2
 };
 
 /// Snapshot `model`'s weights into a plan. The plan is independent of the
 /// model afterwards: training the model further does not change it.
 InferencePlan build_inference_plan(HarModel& model);
 
-/// Grow-once working buffers for infer_forward. Safe to reuse across
+/// Grow-once working buffers for the plan's forward. Safe to reuse across
 /// calls from one thread; never shared between concurrent callers.
 struct InferenceScratch {
   // One frame's CNN working set, independent of the batch size.
@@ -82,24 +70,36 @@ struct InferenceScratch {
   std::vector<float> panel;     ///< conv2d_frame's B panel
   // Batch-sized: N = batch * T frames, K = batch windows.
   std::vector<float> pooled;    ///< pool/flatten output [N, spatial]
-  std::vector<float> feats;     ///< per-frame features [N, F]
+  std::vector<float> feats;     ///< infer_forward's features [N, F]
   std::vector<float> x_step;    ///< LSTM input gather [K, F]
   std::vector<float> z;         ///< LSTM pre-activations [K, 4H]
   std::vector<float> h;         ///< LSTM hidden state [K, H]
   std::vector<float> c;         ///< LSTM cell state [K, H]
-  std::vector<float> out;       ///< head output [K, C] before the scatter
+  std::vector<float> out;       ///< row-form logits [K, C] before the scatter
 
   /// Grow every buffer to the sizes `max_batch` samples need. Forwards of
   /// any batch <= max_batch then allocate nothing.
   void reserve(const InferencePlan& plan, std::size_t max_batch);
 };
 
+/// Frames [n, H, W] (flat, row-major; n need not be a whole number of
+/// windows) -> features [n, F]. Allocation-free once `scratch` covers
+/// ceil(n / T) windows; `feats` may be scratch.feats only when it does.
+void infer_features(const InferencePlan& plan, InferenceScratch& scratch,
+                    const float* frames, std::size_t n,
+                    float* feats) MMHAR_REALTIME MMHAR_DETERMINISTIC;
+
+/// Features [batch, T, F] -> logits [batch, C]. Allocation-free once
+/// `scratch` covers `batch`.
+void infer_classify(const InferencePlan& plan, InferenceScratch& scratch,
+                    const float* feats, std::size_t batch,
+                    float* logits) MMHAR_REALTIME MMHAR_DETERMINISTIC;
+
 /// Micro-batched forward over selected rows: window i of the batch is row
 /// rows[i] of `input` ([*, T, H, W], flat, row-major) and its logits go to
 /// row rows[i] of `logits` ([*, C]); other rows are not touched. Runs
-/// entirely on the calling thread; zero heap allocations once `scratch`
-/// covers `batch`. Bit-identical to HarModel::forward(window,
-/// /*training=*/false) on the weights the plan was built from.
+/// entirely on the calling thread; allocation-free once `scratch` covers
+/// `batch`.
 void infer_forward(const InferencePlan& plan, InferenceScratch& scratch,
                    const float* input, const std::size_t* rows,
                    std::size_t batch,

@@ -1,29 +1,49 @@
 #include "har/model.h"
 
-#include <cmath>
+#include <algorithm>
 
+#include "common/finite_check.h"
 #include "common/serialize.h"
+#include "har/infer.h"
 #include "nn/activation.h"
+#include "tensor/ops.h"
 
 namespace mmhar::har {
+
+FrameCnnGeometry frame_cnn_geometry(const HarModelConfig& config) {
+  // conv1 5x5 stride 2 pad 2, conv2 3x3 stride 2 pad 1, then the pool.
+  FrameCnnGeometry g;
+  g.conv1 = {1, config.height, config.width, 5, 2, 2};
+  g.conv2 = {config.conv1_channels, g.conv1.out_h(), g.conv1.out_w(),
+             3, 2, 1};
+  g.hp = g.conv2.out_h() / g.kPool;
+  g.wp = g.conv2.out_w() / g.kPool;
+  g.spatial = g.hp * g.wp * config.conv2_channels;
+  return g;
+}
 
 HarModel::HarModel(const HarModelConfig& config) : config_(config) {
   MMHAR_REQUIRE(config.height % 8 == 0 && config.width % 8 == 0,
                 "heatmap dims must be divisible by 8 (two stride-2 convs "
                 "plus one 2x2 pool)");
+  const FrameCnnGeometry g = frame_cnn_geometry(config);
+  MMHAR_REQUIRE(std::max({g.spatial, config.feature_dim,
+                          config.lstm_hidden}) <= kPackedBMaxK &&
+                    4 * config.lstm_hidden <= kPackedBMaxN,
+                "HarModel: the inference plan needs CNN output ("
+                    << g.spatial << "), feature_dim and lstm_hidden <= "
+                    << kPackedBMaxK << ", 4*lstm_hidden <= " << kPackedBMaxN);
   Rng rng(config.seed);
 
-  // Frame CNN: 32x32 -> conv(s2) 16x16 -> conv(s2) 8x8 -> pool 4x4.
-  cnn_.emplace<nn::Conv2D>(1, config.conv1_channels, 5, 2, 2, rng);
+  cnn_.emplace<nn::Conv2D>(1, config.conv1_channels, g.conv1.kernel,
+                           g.conv1.stride, g.conv1.pad, rng);
   cnn_.emplace<nn::ReLU>();
-  cnn_.emplace<nn::Conv2D>(config.conv1_channels, config.conv2_channels, 3, 2,
-                           1, rng);
+  cnn_.emplace<nn::Conv2D>(config.conv1_channels, config.conv2_channels,
+                           g.conv2.kernel, g.conv2.stride, g.conv2.pad, rng);
   cnn_.emplace<nn::ReLU>();
-  cnn_.emplace<nn::MaxPool2D>(2);
+  cnn_.emplace<nn::MaxPool2D>(g.kPool);
   cnn_.emplace<nn::Flatten>();
-  const std::size_t spatial =
-      (config.height / 8) * (config.width / 8) * config.conv2_channels;
-  cnn_.emplace<nn::Dense>(spatial, config.feature_dim, rng);
+  cnn_.emplace<nn::Dense>(g.spatial, config.feature_dim, rng);
   cnn_.emplace<nn::ReLU>();
 
   lstm_ = std::make_unique<nn::LSTM>(config.feature_dim, config.lstm_hidden,
@@ -62,46 +82,29 @@ void HarModel::backward(const Tensor& grad_logits) {
   cnn_.backward(grad_features);
 }
 
-Tensor HarModel::frame_features(const Tensor& frames) {
-  MMHAR_REQUIRE(frames.rank() == 3 && frames.dim(1) == config_.height &&
-                    frames.dim(2) == config_.width,
-                "frame_features expects [N, H, W], got "
-                    << frames.shape_string());
-  const std::size_t n = frames.dim(0);
-  const Tensor input =
-      frames.reshaped({n, 1, config_.height, config_.width});
-  return cnn_.forward(input, /*training=*/false);
+namespace {
+
+// One [T, H, W] sample's logits, on a plan built for this call.
+Tensor sample_logits(HarModel& model, const Tensor& sample) {
+  const HarModelConfig& mc = model.config();
+  MMHAR_REQUIRE(sample.size() == mc.frames * mc.height * mc.width,
+                "predict: not one sample, got " << sample.shape_string());
+  const InferencePlan plan = build_inference_plan(model);
+  InferenceScratch scratch;
+  Tensor logits({mc.num_classes});
+  infer_forward(plan, scratch, sample.data(), 1, logits.data());
+  check_finite(logits.flat(), "logits", "HarModel::predict");
+  return logits;
 }
 
-Tensor HarModel::classify_features(const Tensor& features) {
-  MMHAR_REQUIRE(features.rank() == 3 &&
-                    features.dim(2) == config_.feature_dim,
-                "classify_features expects [B, T, F]");
-  const Tensor hidden = lstm_->forward(features, /*training=*/false);
-  return head_->forward(hidden, /*training=*/false);
-}
+}  // namespace
 
 std::size_t HarModel::predict(const Tensor& sample) {
-  const Tensor logits = forward(
-      sample.reshaped({1, config_.frames, config_.height, config_.width}),
-      /*training=*/false);
-  return logits.argmax();
+  return sample_logits(*this, sample).argmax();
 }
 
 Tensor HarModel::predict_probabilities(const Tensor& sample) {
-  const Tensor logits = forward(
-      sample.reshaped({1, config_.frames, config_.height, config_.width}),
-      /*training=*/false);
-  Tensor row = logits.reshaped({config_.num_classes});
-  // Softmax.
-  const float mx = row.max();
-  double sum = 0.0;
-  for (auto& v : row.flat()) {
-    v = std::exp(v - mx);
-    sum += v;
-  }
-  row *= static_cast<float>(1.0 / sum);
-  return row;
+  return softmax(sample_logits(*this, sample));
 }
 
 std::vector<Tensor*> HarModel::parameters() {

@@ -1,11 +1,9 @@
-// The CNN-LSTM HAR classifier (paper §II-A).
-//
-// A per-frame CNN extracts spatial features from each DRAI heatmap; an
-// LSTM consumes the 32-step feature series; a fully connected head maps
-// the final hidden state to the six activity logits. The per-frame
-// feature extractor is exposed separately because both the SHAP frame
-// scoring (Eq. 1) and the trigger-position objective (Eq. 2) operate on
-// CNN features l_θ(h(·)).
+// The CNN-LSTM HAR classifier (paper §II-A). A per-frame CNN extracts
+// spatial features from each DRAI heatmap; an LSTM consumes the 32-step
+// feature series; a fully connected head maps the final hidden state to
+// the six activity logits. HarModel is the training graph. Every
+// eval-mode forward runs on an InferencePlan snapshot of its weights
+// (har/infer.h), which the tests hold to HarModel::forward(…, false).
 #pragma once
 
 #include <cstdint>
@@ -17,6 +15,7 @@
 #include "nn/dense.h"
 #include "nn/lstm.h"
 #include "nn/sequential.h"
+#include "tensor/gemm.h"
 
 namespace mmhar::har {
 
@@ -32,31 +31,34 @@ struct HarModelConfig {
   std::uint64_t seed = 42;       ///< weight-initialization seed
 };
 
+/// The frame CNN's architecture over `config`'s heatmaps, declared once
+/// (model.cpp) for HarModel's layers and build_inference_plan.
+struct FrameCnnGeometry {
+  static constexpr std::size_t kPool = 2;  ///< max pool window and stride
+  ConvGeometry conv1, conv2;               ///< 1 -> c1 -> c2 channels
+  std::size_t hp = 0, wp = 0;              ///< after pooling
+  std::size_t spatial = 0;  ///< flattened CNN output, hp*wp*conv2_channels
+};
+FrameCnnGeometry frame_cnn_geometry(const HarModelConfig& config);
+
 class HarModel {
  public:
+  /// Throws InvalidArgument for heatmap sides not divisible by 8, and for
+  /// a config the inference plan cannot pack (gemm.h kPackedBMaxK/N).
   explicit HarModel(const HarModelConfig& config);
 
   const HarModelConfig& config() const { return config_; }
 
-  /// Full forward pass: [B, T, H, W] -> logits [B, C].
+  /// Training-graph forward: [B, T, H, W] -> logits [B, C]. With
+  /// training=false it is the tests' reference for infer_forward.
   Tensor forward(const Tensor& batch, bool training);
 
   /// Backward pass from dLoss/dLogits; accumulates parameter gradients.
   void backward(const Tensor& grad_logits);
 
-  /// CNN feature extractor l_θ: frames [N, H, W] -> features [N, F].
-  /// Runs in inference mode but overwrites the CNN layers' forward caches,
-  /// so never call it between a training forward and its backward.
-  Tensor frame_features(const Tensor& frames);
-
-  /// LSTM + head over an explicit feature series [B, T, F] -> logits.
-  /// This is the model f(x) that SHAP explains frame-by-frame.
-  Tensor classify_features(const Tensor& features);
-
-  /// Single-sample convenience: [T, H, W] -> predicted class index.
+  /// Single-sample convenience on a plan built per call: [T, H, W] ->
+  /// predicted class index, or class probabilities.
   std::size_t predict(const Tensor& sample);
-
-  /// Single-sample class probabilities.
   Tensor predict_probabilities(const Tensor& sample);
 
   std::vector<Tensor*> parameters();

@@ -4,8 +4,10 @@
 #include <filesystem>
 
 #include "common/artifact_store.h"
+#include "common/finite_check.h"
 #include "common/hash.h"
 #include "common/logging.h"
+#include "har/infer.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
 
@@ -19,6 +21,41 @@ std::vector<std::size_t> range_indices(std::size_t n) {
   std::vector<std::size_t> idx(n);
   for (std::size_t i = 0; i < n; ++i) idx[i] = i;
   return idx;
+}
+
+/// Argmax (first of equal logits) class of each of `indices`, 32 a forward.
+std::vector<std::size_t> predict_indices(
+    HarModel& model, const Dataset& dataset,
+    const std::vector<std::size_t>& indices) {
+  constexpr std::size_t kEvalBatch = 32;
+  const InferencePlan plan = build_inference_plan(model);
+  const std::size_t c = plan.config.num_classes;
+  InferenceScratch scratch;
+  std::vector<float> logits(indices.size() * c);
+  std::vector<std::size_t> idx;  // hoisted per-batch index scratch
+  for (std::size_t start = 0; start < indices.size(); start += kEvalBatch) {
+    idx.assign(indices.begin() + start,
+               indices.begin() + std::min(indices.size(), start + kEvalBatch));
+    infer_forward(plan, scratch, dataset.batch_of(idx).data(), idx.size(),
+                  &logits[start * c]);
+  }
+  check_finite(logits, "logits", "har::predict_all");
+  std::vector<std::size_t> preds(indices.size());
+  for (std::size_t i = 0; i < preds.size(); ++i) {
+    const auto row = logits.begin() + i * c;
+    preds[i] = static_cast<std::size_t>(std::max_element(row, row + c) - row);
+  }
+  return preds;
+}
+
+/// correct / count over `indices`, as in nn::accuracy.
+float accuracy_of(HarModel& model, const Dataset& dataset,
+                  const std::vector<std::size_t>& indices) {
+  const auto preds = predict_indices(model, dataset, indices);
+  std::size_t correct = 0;
+  for (std::size_t i = 0; i < preds.size(); ++i)
+    if (preds[i] == dataset.sample(indices[i]).label) ++correct;
+  return static_cast<float>(correct) / static_cast<float>(preds.size());
 }
 
 /// Everything that must agree between the run that wrote a checkpoint and
@@ -214,12 +251,8 @@ TrainHistory train_model(HarModel& model, const Dataset& train,
         loss_sum / static_cast<double>(std::max<std::size_t>(1, batches)));
     stats.accuracy = static_cast<float>(
         acc_sum / static_cast<double>(std::max<std::size_t>(1, batches)));
-    if (!val_indices.empty()) {
-      const Tensor vb = train.batch_of(val_indices);
-      const auto vl = train.labels_of(val_indices);
-      const Tensor vlogits = model.forward(vb, /*training=*/false);
-      stats.validation_accuracy = nn::accuracy(vlogits, vl);
-    }
+    if (!val_indices.empty())
+      stats.validation_accuracy = accuracy_of(model, train, val_indices);
     history.epochs.push_back(stats);
     if (config.verbose) {
       MMHAR_LOG(Info) << "epoch " << epoch + 1 << "/" << config.epochs
@@ -251,36 +284,12 @@ TrainHistory train_model(HarModel& model, const Dataset& train,
 
 std::vector<std::size_t> predict_all(HarModel& model,
                                      const Dataset& dataset) {
-  std::vector<std::size_t> preds;
-  preds.reserve(dataset.size());
-  constexpr std::size_t kEvalBatch = 32;
-  std::vector<std::size_t> idx;  // hoisted per-batch index scratch
-  for (std::size_t start = 0; start < dataset.size(); start += kEvalBatch) {
-    const std::size_t end = std::min(dataset.size(), start + kEvalBatch);
-    idx.clear();
-    for (std::size_t i = start; i < end; ++i) idx.push_back(i);
-    const Tensor logits =
-        model.forward(dataset.batch_of(idx), /*training=*/false);
-    const std::size_t classes = logits.dim(1);
-    MMHAR_CHECK(logits.size() == idx.size() * classes);
-    for (std::size_t b = 0; b < idx.size(); ++b) {
-      const float* row = logits.data() + b * classes;
-      std::size_t best = 0;
-      for (std::size_t c = 1; c < classes; ++c)
-        if (row[c] > row[best]) best = c;
-      preds.push_back(best);
-    }
-  }
-  return preds;
+  return predict_indices(model, dataset, range_indices(dataset.size()));
 }
 
 float evaluate_accuracy(HarModel& model, const Dataset& dataset) {
   if (dataset.empty()) return 0.0F;
-  const auto preds = predict_all(model, dataset);
-  std::size_t correct = 0;
-  for (std::size_t i = 0; i < dataset.size(); ++i)
-    if (preds[i] == dataset.sample(i).label) ++correct;
-  return static_cast<float>(correct) / static_cast<float>(dataset.size());
+  return accuracy_of(model, dataset, range_indices(dataset.size()));
 }
 
 ConfusionMatrix evaluate_confusion(HarModel& model, const Dataset& dataset) {

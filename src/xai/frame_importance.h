@@ -5,12 +5,13 @@
 // of a chosen class) when only the frames in S contribute their CNN
 // features and the remaining frames are replaced by a baseline feature
 // vector (absence). This is exactly Eq. 1 with f = LSTM + head over the
-// frame-feature series.
+// frame-feature series, run on an InferencePlan (har/infer.h).
 #pragma once
 
 #include <cstdint>
 
 #include "har/dataset.h"
+#include "har/infer.h"
 #include "har/model.h"
 #include "xai/shapley.h"
 
@@ -30,6 +31,7 @@ struct ShapConfig {
 
 class FrameImportance {
  public:
+  /// Explains `model` as it is now: its weights are copied into a plan.
   FrameImportance(har::HarModel& model, ShapConfig config);
 
   /// Per-frame SHAP values for `sample` ([T, H, W]) w.r.t. the model
@@ -43,10 +45,9 @@ class FrameImportance {
                                     const std::vector<std::size_t>& indices,
                                     std::size_t target_class);
 
-  const ShapConfig& config() const { return config_; }
-
  private:
-  har::HarModel& model_;
+  har::InferencePlan plan_;
+  har::InferenceScratch scratch_;
   ShapConfig config_;
   Rng rng_;
 };

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <filesystem>
+#include <set>
 
 #include "core/attack_eval.h"
 #include "core/backdoor_attack.h"
@@ -311,34 +312,6 @@ TEST(Poison, ValidatesConfiguration) {
   EXPECT_THROW(poison_dataset(train, wrong_twins, cfg, {0}), Error);
 }
 
-TEST(Poison, FrameChoiceFirstK) {
-  Rng rng(15);
-  har::Dataset train = make_synthetic_dataset(2, rng);
-  har::HarModel surrogate(tiny_model_config());
-  PoisonConfig cfg;
-  cfg.poisoned_frames = 3;
-  cfg.frame_selection = FrameSelection::FirstK;
-  const auto frames =
-      choose_poison_frames(surrogate, train, cfg, xai::ShapConfig{});
-  EXPECT_EQ(frames, (std::vector<std::size_t>{0, 1, 2}));
-  EXPECT_STREQ(frame_selection_name(FrameSelection::FirstK), "first_k");
-}
-
-TEST(Poison, FrameChoiceShapTopKReturnsDistinctValidFrames) {
-  Rng rng(16);
-  har::Dataset train = make_synthetic_dataset(3, rng);
-  har::HarModel surrogate(tiny_model_config());
-  PoisonConfig cfg;
-  cfg.poisoned_frames = 4;
-  xai::ShapConfig shap;
-  shap.num_permutations = 2;
-  const auto frames = choose_poison_frames(surrogate, train, cfg, shap, 2);
-  EXPECT_EQ(frames.size(), 4u);
-  std::set<std::size_t> unique(frames.begin(), frames.end());
-  EXPECT_EQ(unique.size(), 4u);
-  for (const auto f : frames) EXPECT_LT(f, 8u);
-}
-
 // ---- Metrics ----
 
 TEST(AttackEval, MetricsComputedFromPredictions) {
@@ -395,6 +368,10 @@ TEST(BackdoorAttack, PlanContainsFramesAndPlacement) {
   const BackdoorPlan plan = attack.plan(train);
 
   EXPECT_EQ(plan.frames.size(), 3u);
+  EXPECT_EQ(std::set<std::size_t>(plan.frames.begin(), plan.frames.end())
+                .size(),
+            3u);
+  for (const std::size_t f : plan.frames) EXPECT_LT(f, 8u);
   EXPECT_EQ(plan.mean_abs_shap.size(), 8u);
   EXPECT_EQ(plan.anchor_ranking.size(), mesh::kNumAnchors);
   EXPECT_EQ(plan.per_frame_optima.size(), 3u);
@@ -406,10 +383,15 @@ TEST(BackdoorAttack, PlanContainsFramesAndPlacement) {
   EXPECT_EQ(result.poisoned_indices.size(), 1u);  // 0.5 * 1 victim sample
   EXPECT_EQ(result.dataset.sample(result.poisoned_indices[0]).label, 1u);
 
-  // Ablation: optimize_position=false places on the leg.
+  // Ablations: optimize_position=false places on the leg, and FirstK
+  // poisons frames 0..k-1.
   cfg.optimize_position = false;
+  cfg.frame_selection = FrameSelection::FirstK;
   BackdoorAttack ablated(gen, surrogate, cfg);
   const BackdoorPlan leg_plan = ablated.plan(train);
+  EXPECT_EQ(leg_plan.frames, (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_STREQ(frame_selection_name(FrameSelection::FirstK), "first_k");
+  EXPECT_STREQ(frame_selection_name(FrameSelection::ShapTopK), "shap_top_k");
   const mesh::HumanBody body(mesh::BodyParams::participant(0));
   EXPECT_NEAR(mesh::distance(leg_plan.placement.local_position,
                              body.anchor_position(

@@ -732,7 +732,7 @@ TEST(RtRealTree, ConvPanelPackerIsInsideTheConvKernelCone) {
 TEST(RtRealTree, DetmathKernelsAreInsideTheInferenceCone) {
   // The LSTM gate nonlinearities run on the serving path through the
   // shared cell update; an allocation seeded into one of them must be
-  // charged to infer_forward.
+  // charged to infer_classify, the forward's LSTM half.
   const std::size_t detmath = real_file("src/tensor/detmath.cpp");
   const auto files = with_file(
       detmath, insert_into_body(real_tree().files[detmath].raw,
@@ -741,8 +741,7 @@ TEST(RtRealTree, DetmathKernelsAreInsideTheInferenceCone) {
   const CallGraph graph(files);
   std::vector<Finding> found;
   check_rt(graph, real_tree().registry, found);
-  EXPECT_NE(render(found).find("chain: mmhar::har::infer_forward -> "
-                               "mmhar::har::(anonymous)::forward_rows -> "
+  EXPECT_NE(render(found).find("chain: mmhar::har::infer_classify -> "
                                "mmhar::nn::lstm_cell -> "
                                "mmhar::detmath::tanh_to"),
             std::string::npos)
@@ -862,6 +861,31 @@ TEST(DetFixtures, UnsequencedDrawCountsOneArgumentList) {
         << line << "\n" << text;
 }
 
+TEST(DetFixtures, SrcCallsDoNotResolveIntoTools) {
+  // xtree/src/root.cpp's det root calls count(), defined in
+  // xtree/src/count.cpp; xtree/tools/tokens.cpp has a Tokens::count
+  // member. src/ links nothing under tools/, so scanning tools/ as well
+  // must leave the det cone as it is.
+  const fs::path dir = kFixtures / "xtree";
+  const std::vector<FileScan> src_only = scan(dir / "src");
+  std::vector<FileScan> both = src_only;
+  for (FileScan& f : scan(dir / "tools")) both.push_back(std::move(f));
+  std::vector<Finding> found;
+  EXPECT_EQ(check_det(CallGraph(src_only), found).reachable, 2u);
+  EXPECT_EQ(check_det(CallGraph(both), found).reachable, 2u);
+  EXPECT_TRUE(found.empty()) << render(found);
+}
+
+TEST(DetRealTree, ConeIsTheSameWithoutTools) {
+  std::vector<FileScan> no_tools;
+  for (const FileScan& f : real_tree().files)
+    if (f.path.rfind("tools/", 0) != 0) no_tools.push_back(f);
+  ASSERT_LT(no_tools.size(), real_tree().files.size());
+  std::vector<Finding> found;
+  EXPECT_EQ(check_det(CallGraph(no_tools), found).reachable,
+            real_report().det.reachable);
+}
+
 TEST(DetRealTree, UnsequencedNoiseDrawIsFound) {
   // The receiver-noise draw as it was once written in synthesize: two
   // draws as the two arguments of one cfloat.
@@ -899,6 +923,8 @@ TEST(DetRealTree, RootsFilePinsEveryPaperInvariant) {
   const char* const kRequired[] = {
       "deterministic dsp::compute_drai_sequence",
       "deterministic har::infer_forward",
+      "deterministic har::infer_features",
+      "deterministic har::infer_classify",
       "deterministic Sequential::forward",
       "deterministic Sequential::backward",
       "deterministic radar::Simulator::synthesize",

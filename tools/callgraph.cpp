@@ -678,6 +678,8 @@ CallGraph::CallGraph(const std::vector<FileScan>& files) : files_(&files) {
   }
   for (std::size_t i = 0; i < functions_.size(); ++i)
     by_last_[last_component(functions_[i].qual)].push_back(i);
+  for (const auto& file : files)
+    in_src_.push_back(file.path.rfind("src/", 0) == 0);
 }
 
 std::string CallGraph::last_component(const std::string& qual) {
@@ -708,8 +710,10 @@ void CallGraph::resolve(const CallSite& call, int caller_file,
   const auto it = by_last_.find(last_component(call.name));
   if (it == by_last_.end()) return;
   bool any_same_file = false;
+  const bool from_src = in_src_[static_cast<std::size_t>(caller_file)];
   for (const std::size_t id : it->second) {
     const FnRecord& f = functions_[id];
+    if (from_src && !in_src_[static_cast<std::size_t>(f.file_id)]) continue;
     if (call.member) {
       if (f.file_id == caller_file) out.push_back(id);
       continue;

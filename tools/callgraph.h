@@ -146,7 +146,9 @@ class CallGraph {
   // resolving into AttackExperiment::plan_for. Member calls have no
   // receiver type textually, so they resolve only within the caller's own
   // file (the hot-path pattern: a record and its consumers share a TU); a
-  // cross-file growth member stays a primitive instead.
+  // cross-file growth member stays a primitive instead. A call made in a
+  // src/ file resolves only into src/: the libraries link none of bench/,
+  // tools/ or examples/, so a same-named function there is never called.
   void resolve(const CallSite& call, int caller_file,
                std::vector<std::size_t>& out) const;
 
@@ -154,6 +156,7 @@ class CallGraph {
   const std::vector<FileScan>* files_;
   std::vector<FnRecord> functions_;
   std::map<std::string, std::vector<std::size_t>> by_last_;
+  std::vector<bool> in_src_;  // per file: display path under src/
 };
 
 // Breadth-first reachability from a root set, recording for each reached
