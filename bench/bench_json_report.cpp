@@ -6,7 +6,7 @@
 // so the perf trajectory is comparable across PRs without parsing
 // google-benchmark console output. The DSP sequence entry also carries
 // the speedup over a retained scalar per-transform reference (the pre-
-// engine implementation). BM_InferForward/{1,8,48} is the serving
+// engine implementation). BM_InferForward/{1,8,48} is the eval
 // forward (har::infer_forward, default HarModelConfig) per window at
 // micro-batches of 1, 8 and 48 windows. BM_DetTanh / BM_DetSigmoid are
 // the LSTM gate nonlinearities per element, detmath next to the scalar

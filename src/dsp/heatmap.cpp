@@ -194,9 +194,9 @@ Tensor compute_rdi(const RangeSpectra& spectra, const HeatmapConfig& cfg) {
   job.in_rep_stride = spectra.range_bins;
   fft_many_mag_accum(job, /*shift=*/true, rdi.data(), 1, spectra.range_bins);
 
-  Tensor out = cfg.normalize ? normalize01(rdi) : std::move(rdi);
-  check_finite(out.flat(), "RDI", "compute_rdi");
-  return out;
+  if (cfg.normalize) normalize01_inplace(rdi.data(), rdi.size());
+  check_finite(rdi.flat(), "RDI", "compute_rdi");
+  return rdi;
 }
 
 Tensor compute_rdi(const RadarCube& cube, const HeatmapConfig& cfg) {
@@ -209,10 +209,10 @@ Tensor compute_drai(const RangeSpectra& spectra, const HeatmapConfig& cfg) {
                 "angle_bins must be a power of two >= num_antennas");
   Tensor drai({spectra.range_bins, cfg.angle_bins});
   drai_accum_into(spectra, cfg.angle_bins, drai.data());
-  if (cfg.log_scale) drai = to_db(drai, cfg.db_floor);
-  Tensor out = cfg.normalize ? normalize01(drai) : std::move(drai);
-  check_finite(out.flat(), "DRAI", "compute_drai");
-  return out;
+  if (cfg.log_scale) to_db_inplace(drai.data(), drai.size(), cfg.db_floor);
+  if (cfg.normalize) normalize01_inplace(drai.data(), drai.size());
+  check_finite(drai.flat(), "DRAI", "compute_drai");
+  return drai;
 }
 
 Tensor compute_drai(const RadarCube& cube, const HeatmapConfig& cfg) {
@@ -287,8 +287,8 @@ Tensor drai_sequence_impl(std::size_t num_frames, const HeatmapConfig& cfg,
         }
       });
   if (cfg.normalize_per_sequence) {
-    if (cfg.log_scale) seq = to_db(seq, cfg.db_floor);
-    if (cfg.normalize) seq = normalize01(seq);
+    if (cfg.log_scale) to_db_inplace(seq.data(), seq.size(), cfg.db_floor);
+    if (cfg.normalize) normalize01_inplace(seq.data(), seq.size());
   }
   check_finite(seq.flat(), "DRAI-sequence", "compute_drai_sequence");
   return seq;

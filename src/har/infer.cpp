@@ -58,7 +58,6 @@ InferencePlan build_inference_plan(HarModel& model) {
 void InferenceScratch::reserve(const InferencePlan& plan,
                                std::size_t max_batch) {
   const HarModelConfig& cfg = plan.config;
-  const std::size_t n = max_batch * cfg.frames;
   const ConvGeometry& g1 = plan.cnn.conv1;
   const ConvGeometry& g2 = plan.cnn.conv2;
   const auto grow = [](std::vector<float>& v, std::size_t need) {
@@ -70,13 +69,12 @@ void InferenceScratch::reserve(const InferencePlan& plan,
   grow(act2, cfg.conv2_channels * g2.out_h() * g2.out_w());
   grow(bordered, std::max(g1.bordered_floats(), g2.bordered_floats()));
   grow(panel, std::max(g1.panel_floats(), g2.panel_floats()));
-  grow(pooled, n * plan.cnn.spatial);
-  grow(feats, n * cfg.feature_dim);
+  grow(pooled, cfg.frames * plan.cnn.spatial);
+  grow(feats, max_batch * cfg.frames * cfg.feature_dim);
   grow(x_step, max_batch * cfg.feature_dim);
   grow(z, max_batch * 4 * cfg.lstm_hidden);
   grow(h, max_batch * cfg.lstm_hidden);
   grow(c, max_batch * cfg.lstm_hidden);
-  grow(out, max_batch * cfg.num_classes);
 }
 
 void infer_features(const InferencePlan& plan, InferenceScratch& scratch,
@@ -84,55 +82,58 @@ void infer_features(const InferencePlan& plan, InferenceScratch& scratch,
   MMHAR_REQUIRE(frames != nullptr && feats != nullptr && n > 0,
                 "infer_features: null buffers or no frames");
   const HarModelConfig& cfg = plan.config;
-  // No-op once warmed: pooled needs the n frames' whole windows.
-  scratch.reserve(plan, (n + cfg.frames - 1) / cfg.frames);
+  scratch.reserve(plan, 1);  // no-op once warmed; nothing here grows with n
   const std::size_t frame_len = cfg.height * cfg.width;
   const FrameCnnGeometry& g = plan.cnn;
   const std::size_t w2 = g.conv2.out_w();
   const std::size_t o2 = g.conv2.out_h() * w2;
   const std::size_t f_dim = cfg.feature_dim;
 
-  // One frame at a time so its activations stay in cache: conv1 -> ReLU
-  // -> conv2 -> ReLU -> 2x2 max pool into the frame's row of the
-  // [n, spatial] flatten. Pool scan order and the strict `>` tie-break
-  // match MaxPool2D::forward.
+  // T frames at a time into the [T, spatial] flatten, then their feature
+  // Dense + ReLU as one GEMM: y = x W^T + b. sgemm_packed_b's row
+  // arithmetic does not depend on m, so the chunking changes no bit.
   float* const act1 = scratch.act1.data();
   float* const act2 = scratch.act2.data();
   float* const pooled = scratch.pooled.data();
-  for (std::size_t f = 0; f < n; ++f) {
-    conv2d_frame(plan.conv1_w, g.conv1, frames + f * frame_len,
-                 plan.conv1_b.data(), /*relu=*/true, scratch.bordered.data(),
-                 scratch.panel.data(), act1);
-    conv2d_frame(plan.conv2_w, g.conv2, act1, plan.conv2_b.data(),
-                 /*relu=*/true, scratch.bordered.data(), scratch.panel.data(),
-                 act2);
-    float* out = pooled + f * g.spatial;
-    for (std::size_t ch = 0; ch < cfg.conv2_channels; ++ch) {
-      const float* plane = act2 + ch * o2;
-      for (std::size_t oy = 0; oy < g.hp; ++oy) {
-        for (std::size_t ox = 0; ox < g.wp; ++ox) {
-          float best = -std::numeric_limits<float>::infinity();
-          for (std::size_t dy = 0; dy < g.kPool; ++dy) {
-            for (std::size_t dx = 0; dx < g.kPool; ++dx) {
-              const float v =
-                  plane[(oy * g.kPool + dy) * w2 + ox * g.kPool + dx];
-              if (v > best) best = v;
+  const float* const fc_b = plan.fc_b.data();
+  for (std::size_t f0 = 0; f0 < n; f0 += cfg.frames) {
+    const std::size_t m = std::min(cfg.frames, n - f0);
+    // One frame at a time so its activations stay in cache: conv1 -> ReLU
+    // -> conv2 -> ReLU -> 2x2 max pool into the frame's flatten row. Pool
+    // scan order and the strict `>` tie-break match MaxPool2D::forward.
+    for (std::size_t f = 0; f < m; ++f) {
+      conv2d_frame(plan.conv1_w, g.conv1, frames + (f0 + f) * frame_len,
+                   plan.conv1_b.data(), /*relu=*/true,
+                   scratch.bordered.data(), scratch.panel.data(), act1);
+      conv2d_frame(plan.conv2_w, g.conv2, act1, plan.conv2_b.data(),
+                   /*relu=*/true, scratch.bordered.data(),
+                   scratch.panel.data(), act2);
+      float* out = pooled + f * g.spatial;
+      for (std::size_t ch = 0; ch < cfg.conv2_channels; ++ch) {
+        const float* plane = act2 + ch * o2;
+        for (std::size_t oy = 0; oy < g.hp; ++oy) {
+          for (std::size_t ox = 0; ox < g.wp; ++ox) {
+            float best = -std::numeric_limits<float>::infinity();
+            for (std::size_t dy = 0; dy < g.kPool; ++dy) {
+              for (std::size_t dx = 0; dx < g.kPool; ++dx) {
+                const float v =
+                    plane[(oy * g.kPool + dy) * w2 + ox * g.kPool + dx];
+                if (v > best) best = v;
+              }
             }
+            *out++ = best;
           }
-          *out++ = best;
         }
       }
     }
-  }
-
-  // Feature Dense + ReLU: y = x W^T + b over all n frames at once.
-  sgemm_packed_b(n, 1.0F, pooled, plan.fc_w, 0.0F, feats);
-  const float* const fc_b = plan.fc_b.data();
-  for (std::size_t r = 0; r < n; ++r) {
-    float* row = feats + r * f_dim;
-    for (std::size_t j = 0; j < f_dim; ++j) {
-      const float v = row[j] + fc_b[j];
-      row[j] = v > 0.0F ? v : 0.0F;
+    float* const chunk = feats + f0 * f_dim;
+    sgemm_packed_b(m, 1.0F, pooled, plan.fc_w, 0.0F, chunk);
+    for (std::size_t r = 0; r < m; ++r) {
+      float* row = chunk + r * f_dim;
+      for (std::size_t j = 0; j < f_dim; ++j) {
+        const float v = row[j] + fc_b[j];
+        row[j] = v > 0.0F ? v : 0.0F;
+      }
     }
   }
 }
@@ -182,43 +183,18 @@ void infer_classify(const InferencePlan& plan, InferenceScratch& scratch,
   }
 }
 
-namespace {
-
-// Window i is row rows[i] of input and logits, or row i when rows is null.
-void forward_rows(const InferencePlan& plan, InferenceScratch& scratch,
-                  const float* input, const std::size_t* rows,
-                  std::size_t batch, float* logits) {
+void infer_forward(const InferencePlan& plan, InferenceScratch& scratch,
+                   const float* input, std::size_t batch, float* logits) {
   MMHAR_REQUIRE(input != nullptr && logits != nullptr && batch > 0,
                 "infer_forward: null buffers or empty batch");
   scratch.reserve(plan, batch);  // before taking scratch.feats' address
   const HarModelConfig& cfg = plan.config;
-  const std::size_t c = cfg.num_classes;
+  const std::size_t wlen = cfg.frames * cfg.height * cfg.width;
   float* const feats = scratch.feats.data();
-  float* const out = scratch.out.data();
-  for (std::size_t b = 0; b < batch; ++b) {
-    const std::size_t row = rows != nullptr ? rows[b] : b;
-    const float* window = input + row * cfg.frames * cfg.height * cfg.width;
-    infer_features(plan, scratch, window, cfg.frames,
-                   feats + b * cfg.frames * cfg.feature_dim);
-  }
-  infer_classify(plan, scratch, feats, batch, out);
   for (std::size_t b = 0; b < batch; ++b)
-    std::copy(out + b * c, out + (b + 1) * c,
-              logits + (rows != nullptr ? rows[b] : b) * c);
-}
-
-}  // namespace
-
-void infer_forward(const InferencePlan& plan, InferenceScratch& scratch,
-                   const float* input, const std::size_t* rows,
-                   std::size_t batch, float* logits) {
-  MMHAR_REQUIRE(rows != nullptr, "infer_forward: null row list");
-  forward_rows(plan, scratch, input, rows, batch, logits);
-}
-
-void infer_forward(const InferencePlan& plan, InferenceScratch& scratch,
-                   const float* input, std::size_t batch, float* logits) {
-  forward_rows(plan, scratch, input, nullptr, batch, logits);
+    infer_features(plan, scratch, input + b * wlen, cfg.frames,
+                   feats + b * cfg.frames * cfg.feature_dim);
+  infer_classify(plan, scratch, feats, batch, logits);
 }
 
 }  // namespace mmhar::har

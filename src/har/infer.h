@@ -14,19 +14,20 @@
 //
 // infer_features is the CNN l_θ, one frame at a time (conv1 -> ReLU ->
 // conv2 -> ReLU -> 2x2 pool, both convs through conv2d_frame, the kernel
-// Conv2D::forward calls), then the feature Dense over all the call's
-// frames. infer_classify is the LSTM (nn::lstm_cell, the cell update
-// nn::LSTM::forward calls) and the head. infer_forward runs both. No
-// kernel has a batch-size-dependent path and no output row depends on
-// another, so the outputs are bit-identical to HarModel::forward(…,
-// training=false) for any batch composition.
+// Conv2D::forward calls), then the feature Dense, T frames per GEMM.
+// infer_classify is the LSTM (nn::lstm_cell, the cell update
+// nn::LSTM::forward calls) and the head. infer_forward runs both; serving
+// runs them apart, features as each window completes and one classify
+// per model per cycle. No kernel has a batch-size-dependent path and no
+// output row depends on another, so the outputs are bit-identical to
+// HarModel::forward(…, training=false) for any batch composition.
 //
 // Scratch size. With o1 = h1*w1 and o2 = h2*w2 the conv output cells,
 // B1/B2 the conv geometries' bordered_floats() and P1/P2 their
 // panel_floats(), a scratch reserved for `batch` windows holds
-//   c1*o1 + c2*o2 + max(B1, B2) + max(P1, P2)        (conv, batch-free)
-//   + batch * (T*spatial + T*F + F + 4H + 2H + C)    (per window)
-// floats: about 32 KB plus 42 KB per window for the default config.
+//   c1*o1 + c2*o2 + max(B1, B2) + max(P1, P2) + T*spatial  (batch-free)
+//   + batch * (T*F + F + 4H + 2H)                          (per window)
+// floats: about 65 KB plus 10 KB per window for the default config.
 #pragma once
 
 #include <cstddef>
@@ -63,19 +64,20 @@ InferencePlan build_inference_plan(HarModel& model);
 /// Grow-once working buffers for the plan's forward. Safe to reuse across
 /// calls from one thread; never shared between concurrent callers.
 struct InferenceScratch {
-  // One frame's CNN working set, independent of the batch size.
+  // The CNN working set of one frame, and the flatten of T frames:
+  // independent of the batch size.
   std::vector<float> act1;      ///< conv1 output [c1, h1, w1]
   std::vector<float> act2;      ///< conv2 output [c2, h2, w2]
   std::vector<float> bordered;  ///< conv2d_frame's bordered frame
   std::vector<float> panel;     ///< conv2d_frame's B panel
-  // Batch-sized: N = batch * T frames, K = batch windows.
-  std::vector<float> pooled;    ///< pool/flatten output [N, spatial]
-  std::vector<float> feats;     ///< infer_forward's features [N, F]
+  std::vector<float> pooled;    ///< pool/flatten output [T, spatial]
+  // Batch-sized: K = batch windows.
+  std::vector<float> feats;     ///< features [K, T, F]: infer_forward's,
+                                ///< or a caller's input to infer_classify
   std::vector<float> x_step;    ///< LSTM input gather [K, F]
   std::vector<float> z;         ///< LSTM pre-activations [K, 4H]
   std::vector<float> h;         ///< LSTM hidden state [K, H]
   std::vector<float> c;         ///< LSTM cell state [K, H]
-  std::vector<float> out;       ///< row-form logits [K, C] before the scatter
 
   /// Grow every buffer to the sizes `max_batch` samples need. Forwards of
   /// any batch <= max_batch then allocate nothing.
@@ -83,32 +85,23 @@ struct InferenceScratch {
 };
 
 /// Frames [n, H, W] (flat, row-major; n need not be a whole number of
-/// windows) -> features [n, F]. Allocation-free once `scratch` covers
-/// ceil(n / T) windows; `feats` may be scratch.feats only when it does.
+/// windows) -> features [n, F]. Allocation-free once `scratch` is
+/// reserved for any batch: the frames go through T at a time.
 void infer_features(const InferencePlan& plan, InferenceScratch& scratch,
                     const float* frames, std::size_t n,
                     float* feats) MMHAR_REALTIME MMHAR_DETERMINISTIC;
 
 /// Features [batch, T, F] -> logits [batch, C]. Allocation-free once
-/// `scratch` covers `batch`.
+/// `scratch` covers `batch`; never touches scratch.feats.
 void infer_classify(const InferencePlan& plan, InferenceScratch& scratch,
                     const float* feats, std::size_t batch,
                     float* logits) MMHAR_REALTIME MMHAR_DETERMINISTIC;
 
-/// Micro-batched forward over selected rows: window i of the batch is row
-/// rows[i] of `input` ([*, T, H, W], flat, row-major) and its logits go to
-/// row rows[i] of `logits` ([*, C]); other rows are not touched. Runs
-/// entirely on the calling thread; allocation-free once `scratch` covers
-/// `batch`.
+/// Micro-batched forward: input [batch, T, H, W] (flat, row-major) ->
+/// logits [batch, C]. Runs entirely on the calling thread;
+/// allocation-free once `scratch` covers `batch`.
 void infer_forward(const InferencePlan& plan, InferenceScratch& scratch,
-                   const float* input, const std::size_t* rows,
-                   std::size_t batch,
+                   const float* input, std::size_t batch,
                    float* logits) MMHAR_REALTIME MMHAR_DETERMINISTIC;
-
-/// Contiguous form: input [batch, T, H, W] -> logits [batch, C]. Same
-/// contract; mmhar_check keys annotations by qualified name, so
-/// the row form's annotations make this overload a root too.
-void infer_forward(const InferencePlan& plan, InferenceScratch& scratch,
-                   const float* input, std::size_t batch, float* logits);
 
 }  // namespace mmhar::har

@@ -13,7 +13,7 @@
 namespace mmhar::nn {
 
 /// One cell update for one batch row, shared by LSTM::forward and the
-/// serving forward (har::infer_forward). `z` holds the row's gate
+/// eval forward (har::infer_classify). `z` holds the row's gate
 /// pre-activations [i | f | g | o], `hidden` each, and is overwritten with
 /// the gate activations; then c = f * c_prev + i * g and h = o * tanh(c).
 /// `c_prev` may be `c` (in-place update); `h` must not overlap `c`.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <limits>
 #include <thread>
 
@@ -15,6 +14,7 @@
 #include "common/thread_annotations.h"
 #include "dsp/window.h"
 #include "serving/affinity.h"
+#include "tensor/ops.h"
 
 namespace mmhar::serving {
 
@@ -108,10 +108,10 @@ struct StreamingHarService::Registry {
   std::vector<std::unique_ptr<Stream>> streams MMHAR_GUARDED_BY(mu);
 };
 
-// Per-stream sliding window of the last T raw (pre-dB, pre-normalize)
-// DRAI frames, as a ring; `next` is the write position and, once filled,
-// also the oldest frame. Indexed by global stream id; written only by the
-// owning shard's cycle.
+// Per-stream sliding window of the last T DRAI frames (in dB when
+// log_scale is on; never normalized), as a ring; `next` is the write
+// position and, once filled, also the oldest frame. Indexed by global
+// stream id; written only by the owning shard's cycle.
 struct StreamingHarService::WindowTable {
   struct StreamWindow {
     std::vector<float> drai;
@@ -169,9 +169,11 @@ struct StreamingHarService::Shard {
   std::vector<dsp::cfloat> spectra;      ///< per-round spectra arena
   std::vector<Job> jobs;                 ///< whole cycle; first n_jobs valid
   std::size_t n_jobs = 0;
-  std::vector<float> net_input;          ///< [jobs x T x R x A]
+  std::vector<float> window;             ///< one job's window [T x R x A]
+  std::vector<float> feat_rows;          ///< [jobs x T x F] CNN features
   std::vector<float> logits;             ///< [jobs x C]
   std::vector<std::size_t> model_rows;   ///< one model's job indices
+  std::vector<float> model_logits;       ///< one model's [rows x C]
   std::vector<std::uint8_t> claim_dead;  ///< per-claim containment marks
   std::vector<std::uint8_t> job_dead;    ///< per-job containment marks
   har::InferenceScratch scratch;
@@ -234,6 +236,7 @@ StreamingHarService::StreamingHarService(const ServingConfig& config,
                 "ServingConfig: num_classes exceeds kMaxServingClasses");
 
   window_frames_ = mc.frames;
+  feature_len_ = mc.frames * mc.feature_dim;
   num_classes_ = mc.num_classes;
   deadline_enabled_ = config.slo_ms > 0;
   deadline_budget_ = std::chrono::milliseconds(config.slo_ms);
@@ -262,9 +265,11 @@ StreamingHarService::StreamingHarService(const ServingConfig& config,
     sh->angle_ios.resize(config.batch_max);
     sh->spectra.resize(config.batch_max * spectra_elems);
     sh->jobs.resize(config.batch_max);
-    sh->net_input.resize(config.batch_max * window_frames_ * hw);
+    sh->window.resize(window_frames_ * hw);
+    sh->feat_rows.resize(config.batch_max * feature_len_);
     sh->logits.resize(config.batch_max * num_classes_);
     sh->model_rows.resize(config.batch_max);
+    sh->model_logits.resize(config.batch_max * num_classes_);
     sh->claim_dead.resize(config.batch_max, 0);
     sh->job_dead.resize(config.batch_max, 0);
     sh->scratch.reserve(models_.plan(0), config.batch_max);
@@ -702,15 +707,21 @@ void StreamingHarService::process_round(Shard& sh, std::size_t n_claims) {
 
   // Deferred window bookkeeping for the survivors; a clean frame that
   // completes DSP without filling its window is this stream's recovery
-  // signal (jobs get theirs after clean logits in run_inference).
+  // signal (jobs get theirs after clean logits in run_inference). The dB
+  // map is elementwise, so converting each frame once as it lands equals
+  // compute_drai_sequence's conversion of the whole window.
+  MMHAR_CHECK(sh.job_dead.size() >= sh.n_jobs + n_claims);
   const std::size_t round_job_start = sh.n_jobs;
   for (std::size_t i = 0; i < n_claims; ++i) {
     if (sh.claim_dead[i] != 0) continue;
     const Shard::Claim& cl = sh.claims[i];
     WindowTable::StreamWindow& w = windows_->w[cl.stream_id];
+    if (hm.log_scale)
+      to_db_inplace(w.drai.data() + w.next * hw, hw, hm.db_floor);
     w.next = (w.next + 1) % window_frames_;
     if (w.filled < window_frames_) ++w.filled;
     if (w.filled == window_frames_) {
+      sh.job_dead[sh.n_jobs] = 0;
       sh.jobs[sh.n_jobs++] = {cl.stream, cl.stream_id, cl.stream->model,
                               cl.seq, cl.arrival};
     } else {
@@ -718,36 +729,29 @@ void StreamingHarService::process_round(Shard& sh, std::size_t n_claims) {
     }
   }
 
-  // Stage 4: gather the windows completed this round into network-input
-  // rows, applying the sequence-level dB conversion and min-max
-  // normalization exactly as compute_drai_sequence's tail does (to_db
-  // then normalize01 over the whole [T, R, A] block).
-  MMHAR_CHECK(sh.net_input.size() >= sh.n_jobs * wlen);
-  float* const net_input = sh.net_input.data();
+  // Stage 4: each window completed this round -> its CNN features, now,
+  // before a later round of this cycle can advance the stream's ring.
+  // The window is gathered oldest frame first and min-max normalized over
+  // the whole [T, R, A] block, as compute_drai_sequence's tail does. An
+  // mmhar::Error here sacrifices only this job.
+  const std::size_t flen = feature_len_;
+  MMHAR_CHECK(sh.window.size() == wlen &&
+              sh.feat_rows.size() >= sh.n_jobs * flen);
+  float* const window = sh.window.data();
+  float* const feat_rows = sh.feat_rows.data();
   for (std::size_t j = round_job_start; j < sh.n_jobs; ++j) {
     const WindowTable::StreamWindow& w = windows_->w[sh.jobs[j].stream_id];
-    float* row = net_input + j * wlen;
     for (std::size_t t = 0; t < window_frames_; ++t) {
-      const std::size_t src = (w.next + t) % window_frames_;
-      std::copy(w.drai.begin() +
-                    static_cast<std::ptrdiff_t>(src * hw),
-                w.drai.begin() + static_cast<std::ptrdiff_t>((src + 1) * hw),
-                row + t * hw);
+      const float* src = w.drai.data() + ((w.next + t) % window_frames_) * hw;
+      std::copy(src, src + hw, window + t * hw);
     }
-    if (hm.log_scale) {
-      for (std::size_t i = 0; i < wlen; ++i)
-        row[i] = 20.0F * std::log10(std::max(row[i], hm.db_floor));
-    }
-    if (hm.normalize) {
-      const float lo = *std::min_element(row, row + wlen);
-      const float hi = *std::max_element(row, row + wlen);
-      const float range = hi - lo;
-      if (range <= 0.0F) {
-        std::fill(row, row + wlen, 0.0F);
-      } else {
-        const float inv = 1.0F / range;
-        for (std::size_t i = 0; i < wlen; ++i) row[i] = (row[i] - lo) * inv;
-      }
+    if (hm.normalize) normalize01_inplace(window, wlen);
+    try {
+      har::infer_features(models_.plan(sh.jobs[j].model), sh.scratch,
+                          window, window_frames_, feat_rows + j * flen);
+    } catch (const Error&) {
+      sh.job_dead[j] = 1;
+      record_stream_fault(sh, sh.jobs[j].stream, /*quarantine=*/false);
     }
   }
 }
@@ -764,34 +768,41 @@ void StreamingHarService::clear_stream_fault_streak(Stream* s) {
   }
 }
 
-// Cross-stream micro-batched CNN-LSTM forward over every window that
-// completed this cycle — one infer_forward per model version with jobs,
-// reading that model's rows of net_input in place and writing the same
-// rows of logits. Each output row's arithmetic is independent of batch
-// composition, so grouping by model cannot change any stream's logits.
+// Cross-stream micro-batched LSTM + head over every window that
+// completed this cycle — one infer_classify per model version with live
+// jobs, over that model's feature rows gathered in job order, its logits
+// scattered back to the jobs' rows. Each output row's arithmetic is
+// independent of batch composition, so grouping by model cannot change
+// any stream's logits.
 //
-// Containment: an injected serving.infer_fail (one draw per job row) or
-// an mmhar::Error escaping the fused forward degrades the cycle to
-// per-row batch-1 reruns — row arithmetic is batch-composition
-// independent, so every surviving row's logits are bit-identical to the
-// fused result and only the faulty rows are sacrificed (job_dead,
-// StreamStats::errors). Rows whose logits come back non-finite are
-// sacrificed the same way instead of tearing the process down.
+// Containment: an injected serving.infer_fail (one draw per job, in job
+// order) or an mmhar::Error escaping a fused classify degrades the cycle
+// to per-job batch-1 reruns on the stored feature rows — row arithmetic
+// is batch-composition independent, so every surviving row's logits are
+// bit-identical to the fused result and only the faulty rows are
+// sacrificed (job_dead, StreamStats::errors). Rows whose logits come
+// back non-finite are sacrificed the same way instead of tearing the
+// process down.
 void StreamingHarService::run_inference(Shard& sh) {
-  const dsp::HeatmapConfig& hm = config_.heatmap;
-  const std::size_t wlen =
-      window_frames_ * hm.range_bins * hm.angle_bins;
-  MMHAR_CHECK(sh.net_input.size() >= sh.n_jobs * wlen &&
-              sh.logits.size() >= sh.n_jobs * num_classes_);
-  MMHAR_CHECK(sh.job_dead.size() >= sh.n_jobs);
-  std::fill_n(sh.job_dead.begin(), sh.n_jobs, std::uint8_t{0});
+  const std::size_t flen = feature_len_;
+  const std::size_t nc = num_classes_;
+  MMHAR_CHECK(sh.feat_rows.size() >= sh.n_jobs * flen &&
+              sh.scratch.feats.size() >= sh.n_jobs * flen);
+  MMHAR_CHECK(sh.logits.size() >= sh.n_jobs * nc &&
+              sh.model_logits.size() >= sh.n_jobs * nc &&
+              sh.job_dead.size() >= sh.n_jobs);
+  const float* const feat_rows = sh.feat_rows.data();
+  float* const gathered = sh.scratch.feats.data();
+  float* const model_logits = sh.model_logits.data();
+  float* const logits = sh.logits.data();
 
   bool degraded = false;
   if (fault_injection_armed()) {
     for (std::size_t j = 0; j < sh.n_jobs; ++j) {
-      // Armed-only cold path (see quarantine_claims).
+      // Armed-only cold path (see quarantine_claims). The draw comes
+      // first, so a job whose features already failed still takes one.
       // mmhar: allow(rt-calls)
-      if (fault_should_fire("serving.infer_fail")) {
+      if (fault_should_fire("serving.infer_fail") && sh.job_dead[j] == 0) {
         sh.job_dead[j] = 1;
         degraded = true;
         record_stream_fault(sh, sh.jobs[j].stream, /*quarantine=*/false);
@@ -804,10 +815,18 @@ void StreamingHarService::run_inference(Shard& sh) {
       for (std::size_t m = 0; m < models_.size(); ++m) {
         std::size_t rows = 0;
         for (std::size_t j = 0; j < sh.n_jobs; ++j)
-          if (sh.jobs[j].model == m) sh.model_rows[rows++] = j;
+          if (sh.jobs[j].model == m && sh.job_dead[j] == 0)
+            sh.model_rows[rows++] = j;
         if (rows == 0) continue;
-        har::infer_forward(models_.plan(m), sh.scratch, sh.net_input.data(),
-                           sh.model_rows.data(), rows, sh.logits.data());
+        for (std::size_t r = 0; r < rows; ++r) {
+          const float* src = feat_rows + sh.model_rows[r] * flen;
+          std::copy(src, src + flen, gathered + r * flen);
+        }
+        har::infer_classify(models_.plan(m), sh.scratch, gathered, rows,
+                            model_logits);
+        for (std::size_t r = 0; r < rows; ++r)
+          std::copy(model_logits + r * nc, model_logits + (r + 1) * nc,
+                    logits + sh.model_rows[r] * nc);
       }
     } catch (const Error&) {
       degraded = true;
@@ -818,8 +837,8 @@ void StreamingHarService::run_inference(Shard& sh) {
     for (std::size_t j = 0; j < sh.n_jobs; ++j) {
       if (sh.job_dead[j] != 0) continue;
       try {
-        har::infer_forward(models_.plan(sh.jobs[j].model), sh.scratch,
-                           sh.net_input.data(), &j, 1, sh.logits.data());
+        har::infer_classify(models_.plan(sh.jobs[j].model), sh.scratch,
+                            feat_rows + j * flen, 1, logits + j * nc);
       } catch (const Error&) {
         sh.job_dead[j] = 1;
         record_stream_fault(sh, sh.jobs[j].stream, /*quarantine=*/false);

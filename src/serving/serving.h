@@ -23,12 +23,16 @@
 //                                                     multi call)
 //                                                         │
 //                                                    per-stream sliding window
-//                                                    (T raw DRAI frames)
+//                                                    (T DRAI frames, in dB
+//                                                     when log_scale)
+//                                                         │
+//                                                    per-window normalize +
+//                                                    frame CNN → feature row
 //                                                         │
 //                                                    per-model micro-batched
-//                                                    CNN-LSTM (prepacked-GEMM
-//                                                    InferencePlan from the
-//                                                    ModelRegistry)
+//                                                    LSTM + head (prepacked-
+//                                                    GEMM InferencePlan from
+//                                                    the ModelRegistry)
 //                                                         │
 //                          per-stream result ring ◄── push ──► poll()
 //
@@ -53,9 +57,9 @@
 // Multi-model: the service owns a ModelRegistry; each stream is keyed to
 // one registered model version at add_stream time (clean vs backdoored
 // A/B over live streams is the intended experiment). A shard cycle
-// micro-batches each model's completed windows through that model's
-// prepacked-GEMM plan, one infer_forward per model that reads the
-// model's rows of the cycle's network input in place.
+// runs each completed window's CNN as the window completes, then
+// micro-batches each model's feature rows through that model's
+// prepacked-GEMM plan: one infer_classify per model per cycle.
 //
 // Ownership boundaries: the ModelRegistry, window geometry, and packed
 // weights are immutable once serving starts; all per-cycle working state
@@ -302,6 +306,7 @@ class StreamingHarService {
 
   ServingConfig config_;
   std::size_t window_frames_ = 0;   ///< T, from the model config
+  std::size_t feature_len_ = 0;     ///< T * feature_dim: one job's features
   std::size_t num_classes_ = 0;
   bool deadline_enabled_ = false;
   std::chrono::steady_clock::duration deadline_budget_{};

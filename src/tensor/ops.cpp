@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "tensor/detmath.h"
 
@@ -53,23 +55,81 @@ Tensor sigmoid(const Tensor& x) {
 
 Tensor normalize01(const Tensor& x) {
   Tensor out = x;
-  const float lo = x.min();
-  const float hi = x.max();
-  const float range = hi - lo;
-  if (range <= 0.0F) {
-    out.zero();
-    return out;
-  }
-  const float inv = 1.0F / range;
-  for (auto& v : out.flat()) v = (v - lo) * inv;
+  normalize01_inplace(out.data(), out.size());
   return out;
 }
 
 Tensor to_db(const Tensor& x, float eps) {
   Tensor out = x;
-  for (auto& v : out.flat())
-    v = 20.0F * std::log10(std::max(v, eps));
+  to_db_inplace(out.data(), out.size(), eps);
   return out;
+}
+
+MinMax min_max(const float* x, std::size_t n) {
+  MMHAR_CHECK(n > 0);
+  // Four 4-lane accumulators, each lane a compare-select over a strided
+  // slice. Four SSE2 vectors keep the loop portable and the select chains
+  // short; wider vectors buy under 1 us per 32K floats.
+  using V4 = float __attribute__((vector_size(16)));
+  using M4 = std::int32_t __attribute__((vector_size(16)));
+  constexpr std::size_t kAcc = 4;
+  constexpr std::size_t kStep = 4 * kAcc;
+  if (n < kStep)
+    return {*std::min_element(x, x + n), *std::max_element(x, x + n)};
+  V4 lo[kAcc];
+  V4 hi[kAcc];
+  M4 nan[kAcc];
+  for (std::size_t a = 0; a < kAcc; ++a) {
+    std::memcpy(&lo[a], x + 4 * a, sizeof(V4));
+    hi[a] = lo[a];
+    nan[a] = M4{};
+  }
+  const std::size_t body = n - n % kStep;
+  for (std::size_t i = 0; i < body; i += kStep) {
+    for (std::size_t a = 0; a < kAcc; ++a) {
+      V4 v;
+      std::memcpy(&v, x + i + 4 * a, sizeof(V4));
+      lo[a] = v < lo[a] ? v : lo[a];
+      hi[a] = hi[a] < v ? v : hi[a];
+      nan[a] |= v != v;
+    }
+  }
+  MinMax r{lo[0][0], hi[0][0]};
+  bool any_nan = false;
+  for (std::size_t a = 0; a < kAcc; ++a) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      r.lo = lo[a][j] < r.lo ? lo[a][j] : r.lo;
+      r.hi = r.hi < hi[a][j] ? hi[a][j] : r.hi;
+      any_nan = any_nan || nan[a][j] != 0;
+    }
+  }
+  for (std::size_t i = body; i < n; ++i) {
+    r.lo = x[i] < r.lo ? x[i] : r.lo;
+    r.hi = r.hi < x[i] ? x[i] : r.hi;
+    any_nan = any_nan || x[i] != x[i];
+  }
+  // Without NaN, a nonzero extremum has one bit pattern, so the lanes'
+  // evaluation order cannot change it. A NaN or a zero extremum (where
+  // -0 and +0 tie) makes the answer depend on position: take it in
+  // window order, as the std algorithms define it.
+  if (!any_nan && r.lo != 0.0F && r.hi != 0.0F) return r;
+  return {*std::min_element(x, x + n), *std::max_element(x, x + n)};
+}
+
+void normalize01_inplace(float* x, std::size_t n) {
+  const MinMax m = min_max(x, n);
+  const float range = m.hi - m.lo;
+  if (range <= 0.0F) {
+    std::fill(x, x + n, 0.0F);
+    return;
+  }
+  const float inv = 1.0F / range;
+  for (std::size_t i = 0; i < n; ++i) x[i] = (x[i] - m.lo) * inv;
+}
+
+void to_db_inplace(float* x, std::size_t n, float eps) {
+  for (std::size_t i = 0; i < n; ++i)
+    x[i] = 20.0F * std::log10(std::max(x[i], eps));
 }
 
 Tensor mean_rows(const Tensor& x) {

@@ -1,6 +1,7 @@
 // Free-function tensor operations shared across modules.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -27,6 +28,24 @@ Tensor normalize01(const Tensor& x);
 
 /// Convert linear magnitudes to dB with a floor: 20*log10(max(x, eps)).
 Tensor to_db(const Tensor& x, float eps = 1e-6F);
+
+/// The extremes of a float range.
+struct MinMax {
+  float lo;
+  float hi;
+};
+
+/// The smallest and largest of x[0, n), n > 0: bit for bit the elements
+/// std::min_element and std::max_element pick, NaNs and signed zeros
+/// included.
+MinMax min_max(const float* x, std::size_t n);
+
+/// normalize01 in place over x[0, n), n > 0. Offline DRAI sequences and
+/// serving windows both normalize through this one function.
+void normalize01_inplace(float* x, std::size_t n);
+
+/// to_db in place over x[0, n).
+void to_db_inplace(float* x, std::size_t n, float eps);
 
 /// Mean over the first axis of a [n x d] matrix -> rank-1 [d].
 Tensor mean_rows(const Tensor& x);

@@ -171,7 +171,6 @@ TEST(InferencePlan, MatchesModelForwardBitwise) {
     const InferencePlan plan = build_inference_plan(model);
     InferenceScratch scratch;
     Rng rng(21);
-    const std::size_t wlen = mc.frames * mc.height * mc.width;
     for (const std::size_t batch : {1, 3, 64}) {
       const Tensor input = Tensor::rand_uniform(
           {batch, mc.frames, mc.height, mc.width}, rng, 0.0F, 1.0F);
@@ -180,27 +179,6 @@ TEST(InferencePlan, MatchesModelForwardBitwise) {
       infer_forward(plan, scratch, input.data(), batch, got.data());
       EXPECT_TRUE(same_bytes(ref.data(), got.data(), got.size()))
           << "conv1=" << mc.conv1_channels << " batch=" << batch;
-
-      // Row-index form: windows read from and logits written to scattered
-      // rows; the rows in between stay untouched.
-      std::vector<float> spread(2 * batch * wlen, 0.0F);
-      std::vector<std::size_t> rows(batch);
-      for (std::size_t b = 0; b < batch; ++b) {
-        rows[b] = 2 * (batch - 1 - b) + 1;
-        std::memcpy(spread.data() + rows[b] * wlen, input.data() + b * wlen,
-                    wlen * sizeof(float));
-      }
-      std::vector<float> logits(2 * batch * mc.num_classes, -1.0F);
-      infer_forward(plan, scratch, spread.data(), rows.data(), batch,
-                    logits.data());
-      for (std::size_t b = 0; b < batch; ++b) {
-        EXPECT_TRUE(same_bytes(ref.data() + b * mc.num_classes,
-                               logits.data() + rows[b] * mc.num_classes,
-                               mc.num_classes))
-            << "row form, batch=" << batch << " window " << b;
-        for (std::size_t j = 0; j < mc.num_classes; ++j)
-          EXPECT_EQ(logits[(rows[b] - 1) * mc.num_classes + j], -1.0F);
-      }
     }
 
     // The two halves alone. infer_features over 1, T and 3T frames: each
@@ -309,7 +287,7 @@ TEST(InferencePlan, ConvScratchDoesNotGrowWithBatch) {
   EXPECT_EQ(one.act2.size(), many.act2.size());
   EXPECT_EQ(one.bordered.size(), many.bordered.size());
   EXPECT_EQ(one.panel.size(), many.panel.size());
-  EXPECT_EQ(many.pooled.size(), 64 * one.pooled.size());
+  EXPECT_EQ(one.pooled.size(), many.pooled.size());
 }
 
 TEST(Generator, DeterministicPerSpec) {

@@ -96,10 +96,18 @@ void expect_bit_identical(const std::vector<Classification>& a,
   }
 }
 
-TEST(Serving, MatchesOfflinePipeline) {
+// Every result must match the offline compute_drai_sequence +
+// HarModel::forward pipeline over the same sliding window, with and
+// without the dB map (serving converts each frame as it lands in the
+// ring, offline converts the whole sequence). The DSP kernels differ
+// between the two paths, so FP contraction may fuse differently under
+// -march=native: compare with a small tolerance and exact argmax
+// instead of bitwise.
+void expect_matches_offline_pipeline(bool log_scale) {
   const har::HarModelConfig mc = test_model_config();
   har::HarModel model(mc);
-  const ServingConfig cfg = test_serving_config();
+  ServingConfig cfg = test_serving_config();
+  cfg.heatmap.log_scale = log_scale;
   StreamingHarService svc(cfg, model);
   const std::size_t sid = svc.add_stream();
 
@@ -115,12 +123,6 @@ TEST(Serving, MatchesOfflinePipeline) {
   }
   ASSERT_EQ(results.size(), total - mc.frames + 1);
 
-  // Every result must match the offline compute_drai_sequence +
-  // HarModel::forward pipeline over the same sliding window. The serving
-  // path replicates the arithmetic operation-for-operation, but it lives
-  // in a different translation unit, so FP contraction may fuse
-  // differently under -march=native: compare with a small tolerance and
-  // exact argmax instead of bitwise.
   for (std::size_t k = 0; k < results.size(); ++k) {
     const std::vector<dsp::RadarCube> window(frames.begin() + k,
                                              frames.begin() + k + mc.frames);
@@ -139,6 +141,14 @@ TEST(Serving, MatchesOfflinePipeline) {
       EXPECT_NEAR(results[k].logits[c], logits.flat()[c], 2e-4F)
           << "window " << k << " class " << c;
   }
+}
+
+TEST(Serving, MatchesOfflinePipeline) {
+  expect_matches_offline_pipeline(/*log_scale=*/false);
+}
+
+TEST(Serving, MatchesOfflinePipelineLogScale) {
+  expect_matches_offline_pipeline(/*log_scale=*/true);
 }
 
 TEST(Serving, DeterministicAcrossBatchComposition) {

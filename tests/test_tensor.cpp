@@ -2,8 +2,13 @@
 // GEMM kernels vs a naive oracle, ops, and serialization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <vector>
 
 #include "common/rng.h"
 #include "tensor/gemm.h"
@@ -313,6 +318,110 @@ TEST(Ops, ToDbMonotoneWithFloor) {
   EXPECT_FLOAT_EQ(db[1], 0.0F);
   EXPECT_NEAR(db[2], 20.0F, 1e-4F);
   EXPECT_FLOAT_EQ(db[0], -60.0F);  // clamped at the floor
+}
+
+// Seeded arrays of `n` floats of one of eight kinds, for the min_max
+// properties: spread values; positive values (min and max nonzero, the
+// lane path); constants; values sprinkled with specials; specials only;
+// magnitudes and negated magnitudes with ±0 sprinkled in (a zero
+// extremum tied across signs); and specials without NaN.
+constexpr std::size_t kFloatKinds = 8;
+
+std::vector<float> generated_floats(Rng& rng, std::size_t n, std::size_t kind) {
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kDen = std::numeric_limits<float>::denorm_min();
+  const float specials[] = {kNaN,  -0.0F, 0.0F,  kInf, -kInf, kDen,
+                            -kDen, 3 * kDen, std::numeric_limits<float>::min(),
+                            1.0F};
+  const auto special = [&] { return specials[rng.index(std::size(specials))]; };
+  const auto zero = [&] { return rng.bernoulli(0.5) ? 0.0F : -0.0F; };
+  std::vector<float> x(n);
+  const float c = special();
+  for (float& v : x) {
+    switch (kind) {
+      case 0: v = static_cast<float>(rng.uniform(-2.0, 2.0)); break;
+      case 1: v = static_cast<float>(rng.uniform(1e-3, 4.0)); break;
+      case 2: v = c; break;
+      case 3:
+        v = rng.bernoulli(0.05) ? special()
+                                : static_cast<float>(rng.uniform(-1.0, 1.0));
+        break;
+      case 4: v = special(); break;
+      case 5:
+        v = rng.bernoulli(0.1) ? zero()
+                               : static_cast<float>(rng.uniform(0.0, 1.0));
+        break;
+      case 6:
+        v = rng.bernoulli(0.1) ? zero()
+                               : static_cast<float>(rng.uniform(-1.0, 0.0));
+        break;
+      default:
+        v = special();
+        while (v != v) v = special();
+        break;
+    }
+  }
+  return x;
+}
+
+std::uint32_t float_bits(float v) { return std::bit_cast<std::uint32_t>(v); }
+
+// min_max must pick the very elements std::min_element / max_element
+// pick: NaN first, middle, last and in the first lanes, ±0 ties, ±Inf, denormals, constant
+// arrays, and lengths off the 16-float step.
+TEST(Ops, MinMaxMatchesStdAlgorithmsBitwise) {
+  Rng rng(2024);
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  std::size_t checked = 0;
+  for (const std::size_t n : {1, 2, 3, 15, 16, 17, 31, 32, 33, 63, 64, 65,
+                              100, 1023, 4099}) {
+    for (std::size_t trial = 0; trial < 40; ++trial) {
+      std::vector<float> x = generated_floats(rng, n, trial % kFloatKinds);
+      // None, first, middle, last, or among the first 16 (where it
+      // seeds a lane and would hide that lane's later values).
+      const std::size_t nan_at = trial / kFloatKinds % 5;
+      if (nan_at == 1) x.front() = kNaN;
+      if (nan_at == 2) x[n / 2] = kNaN;
+      if (nan_at == 3) x.back() = kNaN;
+      if (nan_at == 4) x[rng.index(std::min<std::size_t>(n, 16))] = kNaN;
+      const MinMax got = min_max(x.data(), n);
+      const float lo = *std::min_element(x.begin(), x.end());
+      const float hi = *std::max_element(x.begin(), x.end());
+      ASSERT_EQ(float_bits(got.lo), float_bits(lo))
+          << "n=" << n << " trial=" << trial;
+      ASSERT_EQ(float_bits(got.hi), float_bits(hi))
+          << "n=" << n << " trial=" << trial;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 15U * 40U);
+}
+
+// normalize01_inplace against the two-pass form it replaced in both
+// compute_drai_sequence and serving: std::min_element / max_element,
+// then (v - lo) / range, all-zeros for a constant input.
+TEST(Ops, Normalize01InplaceMatchesTwoPassReference) {
+  Rng rng(77);
+  for (const std::size_t n : {1, 17, 64, 1000, 32768}) {
+    for (std::size_t kind = 0; kind < kFloatKinds; ++kind) {
+      std::vector<float> x = generated_floats(rng, n, kind);
+      std::vector<float> ref = x;
+      const float lo = *std::min_element(ref.begin(), ref.end());
+      const float hi = *std::max_element(ref.begin(), ref.end());
+      const float range = hi - lo;
+      if (range <= 0.0F) {
+        std::fill(ref.begin(), ref.end(), 0.0F);
+      } else {
+        const float inv = 1.0F / range;
+        for (float& v : ref) v = (v - lo) * inv;
+      }
+      normalize01_inplace(x.data(), n);
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(float_bits(x[i]), float_bits(ref[i]))
+            << "n=" << n << " kind=" << kind << " i=" << i;
+    }
+  }
 }
 
 TEST(Ops, MeanRowsAndConcat) {
